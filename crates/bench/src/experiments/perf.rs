@@ -19,6 +19,15 @@
 //! uses — and the summary is exported to `BENCH_perf.json` in the working
 //! directory alongside the usual `results/perf.json` record.
 //!
+//! A fifth measurement leaves the thread count unpinned: single-query MSCN
+//! forwards on the default path that serving takes, against the same calls
+//! under `with_threads(1)`. `with_threads` skips the default-count lookup,
+//! so only this ratio can see a per-call cost in it.
+//!
+//! Serving and the default-path ratio are medians over interleaved samples
+//! (every variant timed once per round), so host drift hits each variant
+//! alike; both feed a gate.
+//!
 //! On a single-core host the thread counts ≥ 2 measure pure overhead (the
 //! pool degrades to serial chunk draining), so throughput parity — not a
 //! speedup — is the expectation there; `effective_parallelism` in the
@@ -43,11 +52,25 @@ use super::single_table::{standard_bench, ALPHA};
 /// Requested thread counts, in measurement order.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Minimum 4-thread / 1-thread serving-throughput ratio tolerated before the
-/// experiment fails. Parity (ratio ≈ 1) is the single-core expectation;
-/// multi-core hosts should clear 1.0 comfortably, so 0.8 only trips when
-/// parallel dispatch actively loses throughput beyond measurement noise.
+/// Minimum 4-thread / 1-thread median serving-throughput ratio tolerated
+/// before the experiment fails. Parity (ratio ≈ 1) is the single-core
+/// expectation; multi-core hosts should clear 1.0 comfortably, so 0.8 only
+/// trips when parallel dispatch actively loses throughput beyond noise.
 const MIN_SERVING_RATIO: f64 = 0.8;
+
+/// Maximum default-path / `with_threads(1)` time ratio for single-query MSCN
+/// forwards. A forward at batch 1 splits no work, so both sides run the same
+/// serial kernels and only the per-call thread-count lookup differs.
+const MAX_DEFAULT_OVERHEAD: f64 = 2.0;
+
+/// Interleaved rounds behind each median-based measurement.
+const ROUNDS: usize = 15;
+
+/// Batched serving passes over the test set per serving sample.
+const SERVING_PASSES: usize = 8;
+
+/// Single-query forwards per default-path sample.
+const FORWARD_CALLS: usize = 256;
 
 /// Best-of-`reps` wall-clock seconds for `f`, recording every sample under
 /// `label` in the criterion registry. Returns the last result and the
@@ -64,6 +87,37 @@ fn best_of<R>(label: &str, reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
         out = Some(r);
     }
     (out.expect("reps must be positive"), best)
+}
+
+/// Median wall-clock seconds of each variant `v` of `run(v)`, sampled in
+/// `rounds` interleaved rounds (every variant once per round) and recorded
+/// under `labels[v]` in the criterion registry. Also returns each variant's
+/// last result.
+fn interleaved_medians<R>(
+    labels: &[String],
+    rounds: usize,
+    mut run: impl FnMut(usize) -> R,
+) -> (Vec<R>, Vec<f64>) {
+    let mut samples = vec![Vec::with_capacity(rounds); labels.len()];
+    let mut last: Vec<Option<R>> = labels.iter().map(|_| None).collect();
+    for _ in 0..rounds {
+        for (v, label) in labels.iter().enumerate() {
+            let start = Instant::now();
+            let r = criterion::black_box(run(v));
+            let elapsed = start.elapsed();
+            criterion::record_sample(label, elapsed.as_nanos());
+            samples[v].push(elapsed.as_secs_f64());
+            last[v] = Some(r);
+        }
+    }
+    let medians = samples
+        .iter_mut()
+        .map(|s| {
+            s.sort_by(f64::total_cmp);
+            s[s.len() / 2]
+        })
+        .collect();
+    (last.into_iter().map(|r| r.expect("rounds must be positive")).collect(), medians)
 }
 
 /// Deterministic pseudo-random matrix (same LCG the kernel tests use).
@@ -88,7 +142,7 @@ pub fn perf(scale: &Scale) -> Vec<ExperimentRecord> {
         "perf",
         "parallel layer baseline: wall-clock at 1/2/4/8 threads, outputs bit-audited",
     );
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let hw = ce_parallel::available_threads();
     rec.extra("effective_parallelism", hw as f64);
 
     // --- 1. blocked matmul GFLOP/s -------------------------------------
@@ -173,28 +227,53 @@ pub fn perf(scale: &Scale) -> Vec<ExperimentRecord> {
     // --- 4. batched PI serving queries/s -------------------------------
     let model = train_mscn(&bench.feat, &bench.train, epochs, scale.seed);
     let service = PiService::new(
-        model,
+        model.clone(),
         AbsoluteResidual,
         &bench.calib.x,
         &bench.calib.y,
         PiServiceConfig { alpha: ALPHA, ..Default::default() },
     );
-    let mut serving_ref = None;
-    let mut serving_qps = Vec::new();
-    for &t in &THREADS {
-        let label = format!("perf/serving_batch/t{t}");
-        let (ivs, secs) = best_of(&label, 3, || {
-            with_threads(t, || service.predict_interval_batch(&bench.test.x))
-        });
-        match &serving_ref {
-            None => serving_ref = Some(ivs),
-            Some(reference) => {
-                assert_eq!(*reference, ivs, "batched serving diverged at {t} threads")
+    let labels: Vec<String> = THREADS.iter().map(|t| format!("perf/serving_batch/t{t}")).collect();
+    let (served, secs) = interleaved_medians(&labels, ROUNDS, |v| {
+        with_threads(THREADS[v], || {
+            for _ in 1..SERVING_PASSES {
+                criterion::black_box(service.predict_interval_batch(&bench.test.x));
             }
-        }
-        serving_qps.push((t, bench.test.x.len() as f64 / secs));
-        rec.extra(&format!("serving_qps/t{t}"), bench.test.x.len() as f64 / secs);
+            service.predict_interval_batch(&bench.test.x)
+        })
+    });
+    for (&t, ivs) in THREADS.iter().zip(&served) {
+        assert_eq!(served[0], *ivs, "batched serving diverged at {t} threads");
     }
+    let queries_per_sample = (bench.test.x.len() * SERVING_PASSES) as f64;
+    let serving_qps: Vec<(usize, f64)> =
+        THREADS.iter().zip(&secs).map(|(&t, s)| (t, queries_per_sample / s)).collect();
+    for &(t, qps) in &serving_qps {
+        rec.extra(&format!("serving_qps/t{t}"), qps);
+    }
+
+    // --- 5. default-path overhead at batch 1 ---------------------------
+    let singles: Vec<Vec<Vec<f32>>> = (0..FORWARD_CALLS)
+        .map(|i| vec![bench.test.x[i % bench.test.x.len()].clone()])
+        .collect();
+    let forward =
+        || -> Vec<u64> { singles.iter().map(|q| model.predict_batch(q)[0].to_bits()).collect() };
+    let labels = ["perf/forward_b1/default".to_string(), "perf/forward_b1/inline".to_string()];
+    let (bits, secs) = interleaved_medians(&labels, ROUNDS, |v| {
+        if v == 0 {
+            forward()
+        } else {
+            with_threads(1, forward)
+        }
+    });
+    assert_eq!(bits[0], bits[1], "default-path forward diverged from with_threads(1)");
+    let default_overhead = secs[0] / secs[1];
+    rec.extra("default_vs_inline_forward_b1", default_overhead);
+    assert!(
+        default_overhead <= MAX_DEFAULT_OVERHEAD,
+        "unpinned batch-1 MSCN forward is {default_overhead:.2}x its with_threads(1) time \
+         (ceiling {MAX_DEFAULT_OVERHEAD})"
+    );
 
     // --- speedups + smoke gate -----------------------------------------
     let ratio = |series: &[(usize, f64)], num: usize, den: usize| {

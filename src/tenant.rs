@@ -771,6 +771,10 @@ where
         }
         ("GET", "/metrics") => metrics(registry, probe),
         ("GET", "/debug/trace") => Response::json(200, trace::snapshot_json()),
+        // Ahead of the POST catch-all, so POST to a GET-only path is a 405.
+        (_, "/healthz" | "/readyz" | "/metrics" | "/debug/trace") => {
+            json_error(405, "method not allowed")
+        }
         ("POST", "/v1/predict") => admit_predict(req, registry, DEFAULT_MODEL),
         ("POST", "/v1/observe") => observe_post(req, registry, DEFAULT_MODEL),
         ("POST", p) => {
@@ -783,9 +787,6 @@ where
             } else {
                 json_error(404, "no such endpoint")
             }
-        }
-        (_, "/healthz" | "/readyz" | "/metrics" | "/debug/trace") => {
-            json_error(405, "method not allowed")
         }
         (_, "/v1/predict" | "/v1/observe") => json_error(405, "method not allowed"),
         (_, p)

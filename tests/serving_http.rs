@@ -296,6 +296,39 @@ fn loopback_fleet_never_deadlocks_the_server() {
     );
 }
 
+/// The GET-only operational endpoints answer `405` to any other method,
+/// `POST` included (the route table has a `POST` catch-all for the
+/// per-model paths), while unknown paths stay `404`.
+#[test]
+fn get_only_endpoints_reject_other_methods_with_405() {
+    let xs: Vec<Vec<f32>> = (0..16).map(|i| vec![i as f32 / 16.0]).collect();
+    let ys: Vec<f64> = xs.iter().map(|x| x[0] as f64 + 0.01).collect();
+    let healing = SelfHealingService::new(
+        |f: &[f32]| f[0] as f64,
+        AbsoluteResidual,
+        &xs,
+        &ys,
+        PiServiceConfig::default(),
+        HealConfig::default(),
+    );
+    let handle = start_server(
+        Arc::new(ServeEngine::new(healing, Vec::new(), 1)),
+        "127.0.0.1:0",
+        HttpServeConfig::default(),
+    )
+    .expect("bind loopback server");
+    let mut client = HttpClient::connect(handle.local_addr()).expect("connect");
+    for path in ["/healthz", "/readyz", "/metrics", "/debug/trace"] {
+        assert_eq!(client.get(path).expect("GET").status, 200, "GET {path}");
+        for method in ["POST", "PUT", "DELETE"] {
+            let resp = client.request(method, path, [], b"{}").expect("request");
+            assert_eq!(resp.status, 405, "{method} {path}");
+        }
+    }
+    assert_eq!(client.post("/no/such/endpoint", b"{}").expect("POST").status, 404);
+    handle.drain();
+}
+
 /// A bare echo server for connection-level stress tests (no estimator, no
 /// batcher — just the event-driven substrate).
 fn stress_server(read_timeout: Duration) -> HttpServer {
