@@ -85,8 +85,7 @@ pub use quantile::{
 };
 pub use regressor::{FitRegressor, Regressor};
 pub use resilient::{
-    BreakerConfig, BreakerSnapshot, BreakerState, CallGuardConfig, PiEstimator, ResilienceStats,
-    ResilientService,
+    BreakerConfig, BreakerSnapshot, BreakerState, PiEstimator, ResilienceStats, ResilientService,
 };
 pub use score::{AbsoluteResidual, QErrorScore, RelativeErrorScore, ScoreFunction};
 pub use service::{PiService, PiServiceConfig, ServiceMode};

@@ -23,9 +23,9 @@
 //!    but never unavailable.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
 
 use crate::error::CardEstError;
+use crate::heal::SelfHealingService;
 use crate::interval::PredictionInterval;
 use crate::online::{OnlineConformal, WindowedConformal};
 use crate::regressor::Regressor;
@@ -141,6 +141,51 @@ impl<M: Regressor + Clone + Sync + Send, S: ScoreFunction + Clone + Sync + Send>
     }
 }
 
+impl<M: Regressor + Clone + Sync + Send, S: ScoreFunction + Clone + Sync + Send> PiEstimator
+    for SelfHealingService<M, S>
+{
+    /// Checkpointed breaker snapshots are matched by this name.
+    fn name(&self) -> &str {
+        "self-healing"
+    }
+    fn predict(&self, features: &[f32]) -> Result<f64, CardEstError> {
+        finite_or_err(SelfHealingService::predict(self, features), "model prediction")
+    }
+    fn interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
+        self.try_interval(features)
+    }
+    fn interval_batch(
+        &self,
+        queries: &[Vec<f32>],
+    ) -> Vec<Result<PredictionInterval, CardEstError>> {
+        self.try_interval_batch(queries)
+    }
+    fn observe(&mut self, features: &[f32], y_true: f64) {
+        SelfHealingService::observe(self, features, y_true);
+    }
+}
+
+impl<T: PiEstimator + ?Sized> PiEstimator for Box<T> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+    fn predict(&self, features: &[f32]) -> Result<f64, CardEstError> {
+        (**self).predict(features)
+    }
+    fn interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
+        (**self).interval(features)
+    }
+    fn interval_batch(
+        &self,
+        queries: &[Vec<f32>],
+    ) -> Vec<Result<PredictionInterval, CardEstError>> {
+        (**self).interval_batch(queries)
+    }
+    fn observe(&mut self, features: &[f32], y_true: f64) {
+        (**self).observe(features, y_true);
+    }
+}
+
 /// Circuit-breaker tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct BreakerConfig {
@@ -235,139 +280,17 @@ impl Breaker {
     }
 }
 
-/// Deadline/retry tuning applied to every estimator call in the chain.
-///
-/// The default is fully permissive (no deadline, no retries), so guards are
-/// strictly opt-in: enabling the struct with defaults changes nothing about
-/// serving behaviour or determinism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CallGuardConfig {
-    /// Wall-clock budget per estimator call *including retries*, in
-    /// microseconds. A synchronous call cannot be preempted, so a result
-    /// arriving past the budget is discarded and reported as
-    /// [`CardEstError::DeadlineExceeded`] (counted as a breaker failure).
-    /// `u64::MAX` disables the deadline.
-    pub budget_us: u64,
-    /// Bounded retries on *transient* failures (caught panics and non-finite
-    /// scores); structural errors (dimension mismatch, circuit open, …)
-    /// never retry.
-    pub max_retries: u32,
-    /// Base backoff between retries in microseconds, doubled per attempt
-    /// with deterministic jitter (a pure function of chain position and
-    /// attempt number, so batched serving stays bit-identical). `0` disables
-    /// sleeping between retries.
-    pub backoff_base_us: u64,
-}
-
-impl Default for CallGuardConfig {
-    fn default() -> Self {
-        CallGuardConfig { budget_us: u64::MAX, max_retries: 0, backoff_base_us: 0 }
+/// Runs one estimator call with panic isolation: a panic becomes a
+/// [`CardEstError::ModelPanic`]. A failure carries whether the call
+/// panicked, so panics and typed failures are counted apart.
+fn run_isolated(
+    call: impl FnOnce() -> Result<PredictionInterval, CardEstError>,
+) -> Result<PredictionInterval, (CardEstError, bool)> {
+    match catch_unwind(AssertUnwindSafe(call)) {
+        Ok(Ok(interval)) => Ok(interval),
+        Ok(Err(e)) => Err((e, false)),
+        Err(payload) => Err((CardEstError::ModelPanic(panic_message(payload.as_ref())), true)),
     }
-}
-
-/// What one guarded estimator call did across all its attempts.
-#[derive(Debug, Clone, Copy, Default)]
-struct GuardReport {
-    attempts: u32,
-    panics: u32,
-    typed_failures: u32,
-    deadline_overrun: bool,
-}
-
-/// Deterministic jittered backoff: a pure function of `(position, attempt)`,
-/// so identical retries sleep identically regardless of thread interleaving.
-fn backoff_us(base: u64, position: usize, attempt: u32) -> u64 {
-    let mut z = (position as u64)
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add(attempt as u64);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^= z >> 31;
-    let scaled = base.saturating_mul(1u64 << attempt.saturating_sub(1).min(4));
-    scaled.saturating_add(z % (base / 2 + 1))
-}
-
-/// Runs one estimator call under the guard: panic isolation, bounded retries
-/// on transient errors, and a wall-clock deadline over the whole attempt
-/// sequence. The `Instant` is only read when a deadline is actually
-/// configured, keeping the default path free of clock syscalls (and of any
-/// timing nondeterminism).
-fn run_guarded(
-    guard: &CallGuardConfig,
-    position: usize,
-    name: &str,
-    call: impl Fn() -> Result<PredictionInterval, CardEstError>,
-) -> (Result<PredictionInterval, CardEstError>, GuardReport) {
-    let start = (guard.budget_us != u64::MAX).then(Instant::now);
-    let mut report = GuardReport::default();
-    loop {
-        report.attempts += 1;
-        let outcome = catch_unwind(AssertUnwindSafe(&call));
-        let elapsed_us =
-            start.map_or(0, |s| u64::try_from(s.elapsed().as_micros()).unwrap_or(u64::MAX));
-        let overran = elapsed_us > guard.budget_us;
-        let deadline_error = || CardEstError::DeadlineExceeded {
-            estimator: name.to_string(),
-            elapsed_us,
-            budget_us: guard.budget_us,
-        };
-        let error = match outcome {
-            Ok(Ok(interval)) => {
-                if overran {
-                    // The result arrived past the deadline: discard it — a
-                    // caller that already moved on must never act on it.
-                    report.deadline_overrun = true;
-                    return (Err(deadline_error()), report);
-                }
-                return (Ok(interval), report);
-            }
-            Ok(Err(e)) => {
-                report.typed_failures += 1;
-                e
-            }
-            Err(payload) => {
-                report.panics += 1;
-                CardEstError::ModelPanic(panic_message(payload.as_ref()))
-            }
-        };
-        if overran {
-            report.deadline_overrun = true;
-            return (Err(deadline_error()), report);
-        }
-        let transient =
-            matches!(error, CardEstError::ModelPanic(_) | CardEstError::NonFiniteScore { .. });
-        if !transient || report.attempts > guard.max_retries {
-            return (Err(error), report);
-        }
-        if guard.backoff_base_us > 0 {
-            std::thread::sleep(Duration::from_micros(backoff_us(
-                guard.backoff_base_us,
-                position,
-                report.attempts,
-            )));
-        }
-    }
-}
-
-/// Batch counterpart of [`run_guarded`] for the phase-2a fast path: a
-/// *single* panic-isolated attempt with the call budget scaled by the batch
-/// size (a batch call legitimately does `n` queries of work). `None` means
-/// the whole call is discarded — panic or deadline overrun — and the caller
-/// falls back to the per-query serial walk, which carries the retry policy
-/// and per-query deadline, so nothing is lost besides the speedup.
-fn run_guarded_batch(
-    guard: &CallGuardConfig,
-    n: usize,
-    call: impl Fn() -> Vec<Result<PredictionInterval, CardEstError>>,
-) -> Option<Vec<Result<PredictionInterval, CardEstError>>> {
-    let start = (guard.budget_us != u64::MAX).then(Instant::now);
-    let outcome = catch_unwind(AssertUnwindSafe(&call)).ok()?;
-    let elapsed_us =
-        start.map_or(0, |s| u64::try_from(s.elapsed().as_micros()).unwrap_or(u64::MAX));
-    if elapsed_us > guard.budget_us.saturating_mul(n.max(1) as u64) {
-        return None;
-    }
-    Some(outcome)
 }
 
 /// Counters describing how a [`ResilientService`] has behaved so far.
@@ -387,11 +310,6 @@ pub struct ResilienceStats {
     pub estimator_failures: u64,
     /// Circuit-breaker open transitions.
     pub breaker_trips: u64,
-    /// Extra attempts spent retrying transient failures under the call
-    /// guard (0 unless [`CallGuardConfig::max_retries`] > 0).
-    pub retries: u64,
-    /// Calls whose result was discarded for exceeding the guard's deadline.
-    pub deadline_overruns: u64,
     /// Per-chain-position answer counts (`served_by[0]` = primary).
     pub served_by: Vec<u64>,
 }
@@ -417,11 +335,6 @@ impl ResilienceStats {
     }
 }
 
-struct ChainEntry {
-    estimator: Box<dyn PiEstimator>,
-    breaker: Breaker,
-}
-
 /// A fault-tolerant serving wrapper around a fallback chain of estimators.
 ///
 /// Construction is builder-style: start from the primary estimator, push
@@ -429,20 +342,26 @@ struct ChainEntry {
 /// [`interval`](ResilientService::interval) /
 /// [`predict`](ResilientService::predict) and feed truths back through
 /// [`observe`](ResilientService::observe).
-pub struct ResilientService {
-    chain: Vec<ChainEntry>,
+///
+/// The primary's type is a parameter so an owner can keep typed access to
+/// it ([`ResilientService::primary`]); the default boxes it like the
+/// fallbacks.
+pub struct ResilientService<P = Box<dyn PiEstimator>> {
+    primary: P,
+    fallbacks: Vec<Box<dyn PiEstimator>>,
+    /// One breaker per chain position, primary first.
+    breakers: Vec<Breaker>,
     breaker_config: BreakerConfig,
-    guard: CallGuardConfig,
     expected_dims: Option<usize>,
     conservative_floor: bool,
     stats: ResilienceStats,
     last_errors: Vec<(String, CardEstError)>,
 }
 
-impl std::fmt::Debug for ResilientService {
+impl<P: PiEstimator> std::fmt::Debug for ResilientService<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResilientService")
-            .field("chain", &self.chain.iter().map(|e| e.estimator.name()).collect::<Vec<_>>())
+            .field("chain", &self.chain_names())
             .field("breaker_config", &self.breaker_config)
             .field("expected_dims", &self.expected_dims)
             .field("conservative_floor", &self.conservative_floor)
@@ -455,10 +374,24 @@ impl ResilientService {
     /// Creates a service around the primary estimator, with the conservative
     /// floor enabled (never-unavailable by default).
     pub fn new(primary: Box<dyn PiEstimator>) -> Self {
+        ResilientService::from_primary(primary)
+    }
+
+    /// Capacity bound of the [`ResilientService::last_errors`] buffer, for
+    /// every primary type: a long-running chaos workload accumulates at
+    /// most this many entries.
+    pub const LAST_ERRORS_CAP: usize = 64;
+}
+
+impl<P: PiEstimator> ResilientService<P> {
+    /// [`ResilientService::new`] for a typed primary, which stays reachable
+    /// through [`ResilientService::primary`].
+    pub fn from_primary(primary: P) -> Self {
         ResilientService {
-            chain: vec![ChainEntry { estimator: primary, breaker: Breaker::new() }],
+            primary,
+            fallbacks: Vec::new(),
+            breakers: vec![Breaker::new()],
             breaker_config: BreakerConfig::default(),
-            guard: CallGuardConfig::default(),
             expected_dims: None,
             conservative_floor: true,
             stats: ResilienceStats { served_by: vec![0], ..Default::default() },
@@ -468,7 +401,8 @@ impl ResilientService {
 
     /// Appends a fallback estimator (tried in push order after the primary).
     pub fn with_fallback(mut self, estimator: Box<dyn PiEstimator>) -> Self {
-        self.chain.push(ChainEntry { estimator, breaker: Breaker::new() });
+        self.fallbacks.push(estimator);
+        self.breakers.push(Breaker::new());
         self.stats.served_by.push(0);
         self
     }
@@ -476,13 +410,6 @@ impl ResilientService {
     /// Overrides the circuit-breaker tuning (applies to every estimator).
     pub fn with_breaker(mut self, config: BreakerConfig) -> Self {
         self.breaker_config = config;
-        self
-    }
-
-    /// Installs a deadline/retry guard on every estimator call in the chain
-    /// (see [`CallGuardConfig`]).
-    pub fn with_call_guard(mut self, guard: CallGuardConfig) -> Self {
-        self.guard = guard;
         self
     }
 
@@ -501,6 +428,27 @@ impl ResilientService {
         self
     }
 
+    /// The primary estimator (chain position 0).
+    pub fn primary(&self) -> &P {
+        &self.primary
+    }
+
+    /// The estimator at chain `position` (0 is the primary).
+    fn estimator(&self, position: usize) -> &dyn PiEstimator {
+        match position {
+            0 => &self.primary,
+            _ => &*self.fallbacks[position - 1],
+        }
+    }
+
+    /// Mutable [`ResilientService::estimator`].
+    fn estimator_mut(&mut self, position: usize) -> &mut dyn PiEstimator {
+        match position {
+            0 => &mut self.primary,
+            _ => &mut *self.fallbacks[position - 1],
+        }
+    }
+
     /// Serving statistics so far.
     pub fn stats(&self) -> &ResilienceStats {
         &self.stats
@@ -508,17 +456,13 @@ impl ResilientService {
 
     /// Breaker state of the estimator at `position` in the chain.
     pub fn breaker_state(&self, position: usize) -> Option<BreakerState> {
-        self.chain.get(position).map(|e| e.breaker.state)
+        self.breakers.get(position).map(|b| b.state)
     }
 
     /// Names of the chain's estimators, primary first.
     pub fn chain_names(&self) -> Vec<&str> {
-        self.chain.iter().map(|e| e.estimator.name()).collect()
+        (0..self.breakers.len()).map(|position| self.estimator(position).name()).collect()
     }
-
-    /// Capacity bound of the [`ResilientService::last_errors`] buffer: a
-    /// long-running chaos workload accumulates at most this many entries.
-    pub const LAST_ERRORS_CAP: usize = 64;
 
     /// The per-estimator errors from recent queries that exhausted the whole
     /// chain, oldest first (empty if no query has). Bounded to
@@ -532,8 +476,9 @@ impl ResilientService {
     /// entries past [`ResilientService::LAST_ERRORS_CAP`].
     fn push_last_errors(&mut self, errors: Vec<(String, CardEstError)>) {
         self.last_errors.extend(errors);
-        if self.last_errors.len() > Self::LAST_ERRORS_CAP {
-            let excess = self.last_errors.len() - Self::LAST_ERRORS_CAP;
+        let cap = ResilientService::LAST_ERRORS_CAP;
+        if self.last_errors.len() > cap {
+            let excess = self.last_errors.len() - cap;
             self.last_errors.drain(..excess);
         }
     }
@@ -555,14 +500,12 @@ impl ResilientService {
         g("resilient.panics_caught", self.stats.panics_caught as f64);
         g("resilient.estimator_failures", self.stats.estimator_failures as f64);
         g("resilient.breaker_trips", self.stats.breaker_trips as f64);
-        g("resilient.retries", self.stats.retries as f64);
-        g("resilient.deadline_overruns", self.stats.deadline_overruns as f64);
         g("resilient.answer_rate", self.stats.answer_rate());
         g("resilient.fallback_rate", self.stats.fallback_rate());
         g("resilient.last_errors_buffered", self.last_errors.len() as f64);
-        for (position, entry) in self.chain.iter().enumerate() {
+        for (position, breaker) in self.breakers.iter().enumerate() {
             g(&format!("resilient.served_by.{position}"), self.stats.served_by[position] as f64);
-            let state = match entry.breaker.state {
+            let state = match breaker.state {
                 BreakerState::Closed => 0.0,
                 BreakerState::HalfOpen => 1.0,
                 BreakerState::Open => 2.0,
@@ -573,13 +516,14 @@ impl ResilientService {
 
     /// Point-in-time circuit-breaker states, chain order, for checkpointing.
     pub fn export_breakers(&self) -> Vec<BreakerSnapshot> {
-        self.chain
+        self.breakers
             .iter()
-            .map(|e| BreakerSnapshot {
-                name: e.estimator.name().to_string(),
-                state: e.breaker.state,
-                consecutive_failures: e.breaker.consecutive_failures,
-                opened_at: e.breaker.opened_at,
+            .enumerate()
+            .map(|(position, b)| BreakerSnapshot {
+                name: self.estimator(position).name().to_string(),
+                state: b.state,
+                consecutive_failures: b.consecutive_failures,
+                opened_at: b.opened_at,
             })
             .collect()
     }
@@ -589,18 +533,16 @@ impl ResilientService {
     /// names in order) — a mismatch means the checkpoint belongs to a
     /// different deployment and is rejected as corrupt.
     pub fn restore_breakers(&mut self, snapshots: &[BreakerSnapshot]) -> Result<(), CardEstError> {
-        if snapshots.len() != self.chain.len() {
+        if snapshots.len() != self.breakers.len() {
             return Err(CardEstError::CheckpointCorrupt("breaker count mismatch"));
         }
-        for (entry, snap) in self.chain.iter().zip(snapshots) {
-            if entry.estimator.name() != snap.name {
-                return Err(CardEstError::CheckpointCorrupt("breaker chain name mismatch"));
-            }
+        if self.chain_names().iter().zip(snapshots).any(|(name, snap)| *name != snap.name) {
+            return Err(CardEstError::CheckpointCorrupt("breaker chain name mismatch"));
         }
-        for (entry, snap) in self.chain.iter_mut().zip(snapshots) {
-            entry.breaker.state = snap.state;
-            entry.breaker.consecutive_failures = snap.consecutive_failures;
-            entry.breaker.opened_at = snap.opened_at;
+        for (breaker, snap) in self.breakers.iter_mut().zip(snapshots) {
+            breaker.state = snap.state;
+            breaker.consecutive_failures = snap.consecutive_failures;
+            breaker.opened_at = snap.opened_at;
         }
         Ok(())
     }
@@ -655,35 +597,28 @@ impl ResilientService {
             }
         }
         let now = self.stats.queries;
-        let guard = self.guard;
         let mut errors: Vec<(String, CardEstError)> = Vec::new();
-        for position in 0..self.chain.len() {
-            let entry = &mut self.chain[position];
-            if !entry.breaker.admit(now, &self.breaker_config) {
-                errors.push((
-                    entry.estimator.name().to_string(),
-                    CardEstError::CircuitOpen { estimator: entry.estimator.name().to_string() },
-                ));
+        for position in 0..self.breakers.len() {
+            if !self.breakers[position].admit(now, &self.breaker_config) {
+                let estimator = self.estimator(position).name().to_string();
+                errors.push((estimator.clone(), CardEstError::CircuitOpen { estimator }));
                 continue;
             }
-            let estimator = &*entry.estimator;
-            let (outcome, report) = {
+            let outcome = {
                 let _stage = ce_telemetry::Span::enter(if position == 0 {
                     "predict"
                 } else {
                     "fallback"
                 });
-                run_guarded(&guard, position, estimator.name(), || call(estimator, features))
+                let estimator = self.estimator(position);
+                run_isolated(|| call(estimator, features))
             };
-            self.stats.panics_caught += report.panics as u64;
-            self.stats.estimator_failures += report.typed_failures as u64;
-            self.stats.retries += report.attempts.saturating_sub(1) as u64;
-            self.stats.deadline_overruns += u64::from(report.deadline_overrun);
-            let failure = match outcome {
+            match outcome {
                 Ok(interval) => {
-                    if entry.breaker.record_success() {
+                    if self.breakers[position].record_success() {
                         ce_telemetry::counter("resilient.breaker_close").inc();
-                        ce_telemetry::trace::event("breaker_close", entry.estimator.name());
+                        let name = self.estimator(position).name();
+                        ce_telemetry::trace::event("breaker_close", name);
                     }
                     self.stats.answered += 1;
                     self.stats.served_by[position] += 1;
@@ -693,13 +628,10 @@ impl ResilientService {
                     }
                     return Ok(interval);
                 }
-                Err(e) => e,
-            };
-            errors.push((entry.estimator.name().to_string(), failure));
-            if entry.breaker.record_failure(now, &self.breaker_config) {
-                self.stats.breaker_trips += 1;
-                ce_telemetry::counter("resilient.breaker_open").inc();
-                ce_telemetry::trace::anomaly("breaker_open", entry.estimator.name());
+                Err((error, panicked)) => {
+                    errors.push((self.estimator(position).name().to_string(), error));
+                    self.record_failure(position, panicked, now);
+                }
             }
         }
         let tried = errors.len();
@@ -709,7 +641,7 @@ impl ResilientService {
             self.stats.floor_served += 1;
             if ce_telemetry::enabled() {
                 ce_telemetry::histogram("resilient.fallback_depth")
-                    .record(self.chain.len() as u64);
+                    .record(self.breakers.len() as u64);
             }
             return Ok(PredictionInterval::new(f64::NEG_INFINITY, f64::INFINITY));
         }
@@ -742,17 +674,17 @@ impl ResilientService {
         let config = self.breaker_config;
         let now = self.stats.queries + 1;
         let admitted: Vec<bool> =
-            self.chain.iter_mut().map(|e| e.breaker.admit(now, &config)).collect();
+            self.breakers.iter_mut().map(|b| b.admit(now, &config)).collect();
 
-        // Phase 2a (read-only): batched primary fast path. One guarded
-        // `interval_batch` call on the first admitted estimator answers the
-        // whole sanitized batch when that estimator is healthy — estimators
-        // with a real batch path run one model forward for all queries
-        // instead of one per query. Any query the batch call does not
-        // answer `Ok` (typed failure, panic, deadline overrun, mis-sized
+        // Phase 2a (read-only): batched primary fast path. One
+        // panic-isolated `interval_batch` call on the first admitted
+        // estimator answers the whole sanitized batch when that estimator
+        // is healthy — estimators with a real batch path run one model
+        // forward for all queries instead of one per query. Any query the
+        // batch call does not answer `Ok` (typed failure, panic, mis-sized
         // return) re-runs the *unmodified* serial walk in phase 2b, so
-        // failure accounting, retry policy, and fallback order stay exactly
-        // the serial path's. Intervals are identical either way: the
+        // failure accounting and fallback order stay exactly the serial
+        // path's. Intervals are identical either way: the
         // `PiEstimator::interval_batch` contract requires output `i` to
         // equal `interval(&queries[i])`.
         let this: &Self = self;
@@ -764,8 +696,8 @@ impl ResilientService {
             let sane_idx: Vec<usize> =
                 (0..queries.len()).filter(|&i| sanitized[i].is_none()).collect();
             if !sane_idx.is_empty() {
-                let estimator = &*this.chain[p].estimator;
-                let results = run_guarded_batch(&this.guard, sane_idx.len(), || {
+                let estimator = this.estimator(p);
+                let results = catch_unwind(AssertUnwindSafe(|| {
                     if sane_idx.len() == queries.len() {
                         estimator.interval_batch(queries)
                     } else {
@@ -773,8 +705,8 @@ impl ResilientService {
                             sane_idx.iter().map(|&i| queries[i].clone()).collect();
                         estimator.interval_batch(&subset)
                     }
-                });
-                if let Some(results) = results.filter(|r| r.len() == sane_idx.len()) {
+                }));
+                if let Some(results) = results.ok().filter(|r| r.len() == sane_idx.len()) {
                     for (&qi, result) in sane_idx.iter().zip(results) {
                         if let Ok(interval) = result {
                             fast[qi] = Some(interval);
@@ -785,10 +717,8 @@ impl ResilientService {
         }
 
         // Phase 2b (parallel, read-only): walk the snapshotted chain for
-        // everything the fast path did not answer. The guard applies inside
-        // the closure exactly as on the serial path — its backoff jitter is
-        // a pure function of (position, attempt), so outcomes stay
-        // bit-identical at any thread count.
+        // everything the fast path did not answer, with the serial path's
+        // panic isolation per call.
         let admitted_ref = &admitted;
         let sanitized_ref = &sanitized;
         let fast_ref = &fast;
@@ -798,48 +728,24 @@ impl ResilientService {
                 return BatchOutcome::Rejected(e.clone());
             }
             if let Some(interval) = fast_ref[qi] {
-                // Same outcome shape the serial walk produces for a
-                // first-attempt success at `position`: circuit-open records
-                // for the skipped closed entries ahead of it, a clean
-                // one-attempt guard report.
+                // A first-call success at `position`: every entry ahead of
+                // it was skipped, so there is no failure to fold.
                 let position = primary.expect("fast path implies an admitted estimator");
-                let failures: Vec<(usize, GuardReport, CardEstError)> = (0..position)
-                    .map(|skipped| {
-                        let estimator = this.chain[skipped].estimator.name().to_string();
-                        (
-                            skipped,
-                            GuardReport::default(),
-                            CardEstError::CircuitOpen { estimator },
-                        )
-                    })
-                    .collect();
-                return BatchOutcome::Served {
-                    position,
-                    interval,
-                    failures,
-                    report: GuardReport { attempts: 1, ..GuardReport::default() },
-                };
+                return BatchOutcome::Served { position, interval, failures: Vec::new() };
             }
-            let mut failures: Vec<(usize, GuardReport, CardEstError)> = Vec::new();
-            for (position, entry) in this.chain.iter().enumerate() {
-                if !admitted_ref[position] {
-                    let estimator = entry.estimator.name().to_string();
-                    failures.push((
-                        position,
-                        GuardReport::default(),
-                        CardEstError::CircuitOpen { estimator },
-                    ));
+            let mut failures: Vec<Failure> = Vec::new();
+            for (position, &admitted) in admitted_ref.iter().enumerate() {
+                let estimator = this.estimator(position);
+                if !admitted {
+                    let estimator = estimator.name().to_string();
+                    failures.push((position, false, CardEstError::CircuitOpen { estimator }));
                     continue;
                 }
-                let estimator = &*entry.estimator;
-                let (outcome, report) = run_guarded(&this.guard, position, estimator.name(), || {
-                    estimator.interval(features)
-                });
-                match outcome {
+                match run_isolated(|| estimator.interval(features)) {
                     Ok(interval) => {
-                        return BatchOutcome::Served { position, interval, failures, report };
+                        return BatchOutcome::Served { position, interval, failures };
                     }
-                    Err(e) => failures.push((position, report, e)),
+                    Err((e, panicked)) => failures.push((position, panicked, e)),
                 }
             }
             BatchOutcome::Exhausted { failures }
@@ -859,12 +765,12 @@ impl ResilientService {
                     self.stats.rejected_inputs += 1;
                     results.push(Err(e));
                 }
-                BatchOutcome::Served { position, interval, failures, report } => {
+                BatchOutcome::Served { position, interval, failures } => {
                     self.fold_failures(&failures, &admitted, now);
-                    self.fold_report(&report);
-                    if self.chain[position].breaker.record_success() {
+                    if self.breakers[position].record_success() {
                         ce_telemetry::counter("resilient.breaker_close").inc();
-                        ce_telemetry::trace::event("breaker_close", self.chain[position].estimator.name());
+                        let name = self.estimator(position).name();
+                        ce_telemetry::trace::event("breaker_close", name);
                     }
                     self.stats.answered += 1;
                     self.stats.served_by[position] += 1;
@@ -878,14 +784,14 @@ impl ResilientService {
                     let tried = failures.len();
                     let errors: Vec<(String, CardEstError)> = failures
                         .into_iter()
-                        .map(|(pos, _, e)| (self.chain[pos].estimator.name().to_string(), e))
+                        .map(|(pos, _, e)| (self.estimator(pos).name().to_string(), e))
                         .collect();
                     self.push_last_errors(errors);
                     if self.conservative_floor {
                         self.stats.answered += 1;
                         self.stats.floor_served += 1;
                         if let Some(hist) = &depth_hist {
-                            hist.record(self.chain.len() as u64);
+                            hist.record(self.breakers.len() as u64);
                         }
                         results.push(Ok(PredictionInterval::new(
                             f64::NEG_INFINITY,
@@ -902,32 +808,26 @@ impl ResilientService {
 
     /// Applies one query's recorded failures to stats and breakers.
     /// Skipped (circuit-open) positions were never called and record nothing.
-    fn fold_failures(
-        &mut self,
-        failures: &[(usize, GuardReport, CardEstError)],
-        admitted: &[bool],
-        now: u64,
-    ) {
-        let config = self.breaker_config;
-        for &(position, report, _) in failures {
-            if !admitted[position] {
-                continue;
-            }
-            self.fold_report(&report);
-            if self.chain[position].breaker.record_failure(now, &config) {
-                self.stats.breaker_trips += 1;
-                ce_telemetry::counter("resilient.breaker_open").inc();
-                ce_telemetry::trace::anomaly("breaker_open", self.chain[position].estimator.name());
+    fn fold_failures(&mut self, failures: &[Failure], admitted: &[bool], now: u64) {
+        for &(position, panicked, _) in failures {
+            if admitted[position] {
+                self.record_failure(position, panicked, now);
             }
         }
     }
 
-    /// Folds one guarded call's attempt counters into the stats.
-    fn fold_report(&mut self, report: &GuardReport) {
-        self.stats.panics_caught += report.panics as u64;
-        self.stats.estimator_failures += report.typed_failures as u64;
-        self.stats.retries += report.attempts.saturating_sub(1) as u64;
-        self.stats.deadline_overruns += u64::from(report.deadline_overrun);
+    /// Counts one failed call at `position` and feeds it to that breaker.
+    fn record_failure(&mut self, position: usize, panicked: bool, now: u64) {
+        if panicked {
+            self.stats.panics_caught += 1;
+        } else {
+            self.stats.estimator_failures += 1;
+        }
+        if self.breakers[position].record_failure(now, &self.breaker_config) {
+            self.stats.breaker_trips += 1;
+            ce_telemetry::counter("resilient.breaker_open").inc();
+            ce_telemetry::trace::anomaly("breaker_open", self.estimator(position).name());
+        }
     }
 
     /// Feeds an executed query's truth to every estimator in the chain (so
@@ -939,8 +839,8 @@ impl ResilientService {
             self.stats.rejected_inputs += 1;
             return;
         }
-        for entry in &mut self.chain {
-            let estimator = entry.estimator.as_mut();
+        for position in 0..self.breakers.len() {
+            let estimator = self.estimator_mut(position);
             if catch_unwind(AssertUnwindSafe(|| estimator.observe(features, y_true))).is_err() {
                 self.stats.panics_caught += 1;
             }
@@ -948,20 +848,16 @@ impl ResilientService {
     }
 }
 
+/// A failed or skipped chain position of one query:
+/// `(chain position, panicked, error)`.
+type Failure = (usize, bool, CardEstError);
+
 /// Per-query outcome of the read-only parallel phase of
-/// [`ResilientService::predict_interval_batch`]. Failure tuples carry
-/// `(chain position, guard report, error)`.
+/// [`ResilientService::predict_interval_batch`].
 enum BatchOutcome {
     Rejected(CardEstError),
-    Served {
-        position: usize,
-        interval: PredictionInterval,
-        failures: Vec<(usize, GuardReport, CardEstError)>,
-        report: GuardReport,
-    },
-    Exhausted {
-        failures: Vec<(usize, GuardReport, CardEstError)>,
-    },
+    Served { position: usize, interval: PredictionInterval, failures: Vec<Failure> },
+    Exhausted { failures: Vec<Failure> },
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -982,14 +878,20 @@ mod tests {
     use crate::chaos::{install_quiet_chaos_hook, ChaosConfig, ChaosRegressor};
     use crate::score::AbsoluteResidual;
 
-    /// An online-conformal estimator over `model`, pre-calibrated on a
-    /// clean linear stream.
-    fn calibrated<M: Regressor>(model: M) -> OnlineConformal<M, AbsoluteResidual> {
+    /// A clean linear calibration stream.
+    fn calibration() -> (Vec<Vec<f32>>, Vec<f64>) {
         let calib_x: Vec<Vec<f32>> = (0..200).map(|i| vec![i as f32 / 200.0]).collect();
         let calib_y: Vec<f64> = calib_x
             .iter()
             .map(|f| f[0] as f64 + 0.1 * ((f[0] * 37.0) as f64).sin())
             .collect();
+        (calib_x, calib_y)
+    }
+
+    /// An online-conformal estimator over `model`, pre-calibrated on
+    /// [`calibration`].
+    fn calibrated<M: Regressor>(model: M) -> OnlineConformal<M, AbsoluteResidual> {
+        let (calib_x, calib_y) = calibration();
         OnlineConformal::new(model, AbsoluteResidual, &calib_x, &calib_y, 0.1)
     }
 
@@ -1010,8 +912,17 @@ mod tests {
 
     #[test]
     fn sanitization_rejects_bad_inputs_before_models() {
-        let mut svc = ResilientService::new(Box::new(calibrated(healthy_model())))
-            .with_expected_dims(1);
+        use std::sync::atomic::{AtomicU32, Ordering};
+        // Empty calibration: the estimator only calls the model at serving
+        // time, so the counter sees exactly the calls that reach it.
+        let calls = std::sync::Arc::new(AtomicU32::new(0));
+        let c = calls.clone();
+        let counting = move |f: &[f32]| {
+            c.fetch_add(1, Ordering::SeqCst);
+            f[0] as f64
+        };
+        let primary = OnlineConformal::new(counting, AbsoluteResidual, &[], &[], 0.1);
+        let mut svc = ResilientService::new(Box::new(primary)).with_expected_dims(1);
         assert!(matches!(
             svc.interval(&[1.0, 2.0]),
             Err(CardEstError::DimensionMismatch { expected: 1, actual: 2 })
@@ -1022,6 +933,9 @@ mod tests {
         ));
         assert_eq!(svc.stats().rejected_inputs, 2);
         assert_eq!(svc.stats().answered, 0);
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "rejected input never reaches the model");
+        svc.interval(&[0.5]).expect("sane input is served");
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -1180,6 +1094,30 @@ mod tests {
         assert_eq!(batched.stats().queries, 64);
         assert_eq!(batched.stats().served_by[0], 64);
         assert_eq!(batched.stats().answer_rate(), 1.0);
+
+        // The same through a typed self-healing primary, whose batch path
+        // must keep output `i` equal to `interval(&queries[i])`.
+        let healing = || {
+            let (calib_x, calib_y) = calibration();
+            SelfHealingService::new(
+                |f: &[f32]| f[0] as f64,
+                AbsoluteResidual,
+                &calib_x,
+                &calib_y,
+                crate::service::PiServiceConfig::default(),
+                crate::heal::HealConfig::default(),
+            )
+        };
+        let mut serial = ResilientService::from_primary(healing());
+        let expect: Vec<_> = queries.iter().map(|q| serial.interval(q).unwrap()).collect();
+        let mut batched = ResilientService::from_primary(healing());
+        let got = batched.predict_interval_batch(&queries);
+        for (iv, want) in got.iter().zip(&expect) {
+            assert_eq!(iv.as_ref().unwrap(), want);
+        }
+        assert_eq!(batched.primary().interval_batch(&queries), got);
+        assert_eq!(batched.stats().served_by, vec![64]);
+        assert_eq!(batched.chain_names(), vec!["self-healing"]);
     }
 
     #[test]
@@ -1291,61 +1229,6 @@ mod tests {
         assert_eq!(svc.chain_names(), vec!["online-conformal", "online-conformal"]);
         let dbg = format!("{svc:?}");
         assert!(dbg.contains("ResilientService"));
-    }
-
-    #[test]
-    fn bounded_retries_recover_transient_failures() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        // NaN on the first two calls, healthy afterwards. Empty calibration:
-        // the estimator only calls the model at serving time, so the counter
-        // sees exactly the guarded attempts.
-        let calls = std::sync::Arc::new(AtomicU32::new(0));
-        let c = calls.clone();
-        let flaky = move |f: &[f32]| {
-            if c.fetch_add(1, Ordering::SeqCst) < 2 {
-                f64::NAN
-            } else {
-                f[0] as f64
-            }
-        };
-        let primary = OnlineConformal::new(flaky, AbsoluteResidual, &[], &[], 0.1);
-        let mut svc = ResilientService::new(Box::new(primary))
-            .with_call_guard(CallGuardConfig { max_retries: 2, ..Default::default() });
-        svc.interval(&[0.5]).expect("third attempt succeeds");
-        assert_eq!(calls.load(Ordering::SeqCst), 3);
-        assert_eq!(svc.stats().retries, 2);
-        assert_eq!(svc.stats().estimator_failures, 2, "each failed attempt is counted");
-        assert_eq!(svc.stats().served_by[0], 1, "no fallback needed");
-        // Bad input is rejected by sanitization before the chain: the model
-        // is never called, let alone retried.
-        assert!(svc.interval(&[f32::NAN]).is_err());
-        assert_eq!(calls.load(Ordering::SeqCst), 3, "rejected input never reaches the model");
-    }
-
-    #[test]
-    fn deadline_overrun_discards_late_success_and_trips_breaker() {
-        let slow = |f: &[f32]| {
-            std::thread::sleep(Duration::from_millis(2));
-            f[0] as f64
-        };
-        let primary = OnlineConformal::new(slow, AbsoluteResidual, &[], &[], 0.1);
-        let mut svc = ResilientService::new(Box::new(primary))
-            .with_fallback(Box::new(calibrated(healthy_model())))
-            .with_breaker(BreakerConfig { failure_threshold: 1, cooldown_queries: 100 })
-            .with_call_guard(CallGuardConfig { budget_us: 100, ..Default::default() });
-        // The primary's (successful) result lands past the 100µs budget: it
-        // is discarded, the fallback answers, and the overrun counts as a
-        // breaker failure.
-        let iv = svc.interval(&[0.5]).expect("fallback answers in time");
-        assert!(iv.contains(0.5));
-        assert_eq!(svc.stats().served_by, vec![0, 1]);
-        assert_eq!(svc.stats().deadline_overruns, 1);
-        assert_eq!(svc.breaker_state(0), Some(BreakerState::Open));
-        assert_eq!(svc.stats().breaker_trips, 1);
-        // While the breaker is open the slow primary is skipped entirely.
-        svc.interval(&[0.25]).expect("fallback");
-        assert_eq!(svc.stats().deadline_overruns, 1);
-        assert_eq!(svc.stats().served_by, vec![0, 2]);
     }
 
     #[test]

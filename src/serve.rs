@@ -5,8 +5,8 @@
 //! accept loop ─▶ conn queue ─▶ worker pool ─▶ router ─▶ micro-batcher
 //!                                                           │ coalesced
 //!                                                           ▼
-//!                          ResilientService (breakers, fallbacks, floor)
-//!                                 └─ primary: SelfHealingService (RwLock)
+//!                  Mutex<ResilientService> (breakers, fallbacks, floor)
+//!                                 └─ primary: SelfHealingService
 //! ```
 //!
 //! Endpoints:
@@ -48,7 +48,7 @@
 //! `"nan"` since JSON has no `Infinity`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::conformal::{
@@ -59,71 +59,15 @@ use crate::conformal::{
 use ce_server::{BatcherStats, HttpServer, Response, ServerStats};
 use ce_telemetry::trace;
 
-/// A [`SelfHealingService`] shared between the HTTP workers (read: serve
-/// intervals) and the feedback path (write: observe truths), adapted to the
-/// resilient chain's object-safe [`PiEstimator`] interface.
-pub struct SharedHealing<M, S>(Arc<RwLock<SelfHealingService<M, S>>>);
-
-impl<M, S> Clone for SharedHealing<M, S> {
-    fn clone(&self) -> Self {
-        SharedHealing(Arc::clone(&self.0))
-    }
-}
-
-impl<M, S> SharedHealing<M, S> {
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, SelfHealingService<M, S>> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, SelfHealingService<M, S>> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<M, S> PiEstimator for SharedHealing<M, S>
-where
-    M: Regressor + Clone + Send + Sync,
-    S: ScoreFunction + Clone + Send + Sync,
-{
-    fn name(&self) -> &str {
-        "self-healing"
-    }
-
-    fn predict(&self, features: &[f32]) -> Result<f64, CardEstError> {
-        let value = self.read().predict(features);
-        if value.is_finite() {
-            Ok(value)
-        } else {
-            Err(CardEstError::NonFiniteScore { value, context: "model prediction" })
-        }
-    }
-
-    fn interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
-        self.read().try_interval(features)
-    }
-
-    fn interval_batch(
-        &self,
-        queries: &[Vec<f32>],
-    ) -> Vec<Result<PredictionInterval, CardEstError>> {
-        // One read lock and one batched model forward for the whole batch.
-        self.read().try_interval_batch(queries)
-    }
-
-    fn observe(&mut self, features: &[f32], y_true: f64) {
-        self.write().observe(features, y_true);
-    }
-}
-
 /// The serving engine: the self-healing primary behind the resilient chain,
 /// with full-chain checkpointing.
 ///
-/// Lock order is `resilient` → `healing` everywhere (the chain's serving
-/// calls take the healing read lock while holding the resilient mutex, so
-/// every other path must do the same to stay deadlock-free).
+/// The whole chain sits behind one mutex. Serving already runs one batch
+/// at a time per engine (the micro-batcher's runner), so a finer lock
+/// would buy nothing; the response path's [`ServeEngine::mode`] read is
+/// kept off the lock by publishing the mode at every observation.
 pub struct ServeEngine<M, S> {
-    healing: SharedHealing<M, S>,
-    resilient: Mutex<ResilientService>,
+    chain: Mutex<ResilientService<SelfHealingService<M, S>>>,
     truth_dedupe: Mutex<TruthDedupe>,
     /// Serving-state epoch, seqlock-style (DESIGN.md §15): odd while an
     /// observation window is mutating calibration state, bumped by two for
@@ -134,6 +78,11 @@ pub struct ServeEngine<M, S> {
     /// guarantee. Promotion and rollback both happen inside `observe`, so
     /// they are covered by the observation window.
     epoch: AtomicU64,
+    /// Whether the primary serves in [`ServiceMode::Drifted`]. The mode
+    /// only changes inside `observe`, which stores it here under the chain
+    /// lock before its window closes the epoch, so two equal even epochs
+    /// also bracket an unchanged mode.
+    drifted: AtomicBool,
 }
 
 /// Bounded memory of recently seen truth-post IDs (`x-ce-truth-id`). A
@@ -186,23 +135,22 @@ where
         fallbacks: Vec<Box<dyn PiEstimator>>,
         expected_dims: usize,
     ) -> Self {
-        let healing = SharedHealing(Arc::new(RwLock::new(healing)));
-        let mut resilient = ResilientService::new(Box::new(healing.clone()))
-            .with_expected_dims(expected_dims)
-            .with_conservative_floor(true);
+        let drifted = AtomicBool::new(healing.service().mode() == ServiceMode::Drifted);
+        let mut chain =
+            ResilientService::from_primary(healing).with_expected_dims(expected_dims);
         for fallback in fallbacks {
-            resilient = resilient.with_fallback(fallback);
+            chain = chain.with_fallback(fallback);
         }
         ServeEngine {
-            healing,
-            resilient: Mutex::new(resilient),
+            chain: Mutex::new(chain),
             truth_dedupe: Mutex::new(TruthDedupe::new()),
             epoch: AtomicU64::new(0),
+            drifted,
         }
     }
 
-    fn resilient(&self) -> std::sync::MutexGuard<'_, ResilientService> {
-        self.resilient.lock().unwrap_or_else(|e| e.into_inner())
+    fn chain(&self) -> MutexGuard<'_, ResilientService<SelfHealingService<M, S>>> {
+        self.chain.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Serves a batch through the full resilient chain (breakers, fallbacks,
@@ -215,10 +163,10 @@ where
         &self,
         queries: &[Vec<f32>],
     ) -> Vec<Result<PredictionInterval, CardEstError>> {
-        let mut resilient = self.resilient();
-        let before = breaker_fingerprint(&resilient);
-        let results = resilient.predict_interval_batch(queries);
-        if breaker_fingerprint(&resilient) != before {
+        let mut chain = self.chain();
+        let before = breaker_fingerprint(&chain);
+        let results = chain.predict_interval_batch(queries);
+        if breaker_fingerprint(&chain) != before {
             self.epoch.fetch_add(2, Ordering::SeqCst);
         }
         results
@@ -227,10 +175,16 @@ where
     /// Feeds one executed query's truth to every chain entry — the primary's
     /// write routes into the self-healing state machine. The serving epoch
     /// is odd for the duration: calibration state (and, on promotion or
-    /// rollback, the serving threshold itself) mutates inside.
+    /// rollback, the serving threshold itself) mutates inside, and the
+    /// serving mode is published before the window closes.
     pub fn observe(&self, features: &[f32], y_true: f64) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        self.resilient().observe(features, y_true);
+        {
+            let mut chain = self.chain();
+            chain.observe(features, y_true);
+            let drifted = chain.primary().service().mode() == ServiceMode::Drifted;
+            self.drifted.store(drifted, Ordering::SeqCst);
+        }
         self.epoch.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -245,7 +199,7 @@ where
     /// when one is present. Returns `false` — and observes *nothing* — when
     /// the ID was already seen: the batch is a replica-fan-out or hedge
     /// replay of an observation this shard has absorbed. The claim happens
-    /// outside the chain locks, so the dedupe check never extends the
+    /// outside the chain lock, so the dedupe check never extends the
     /// serving critical section.
     pub fn observe_all(&self, features: &[Vec<f32>], truths: &[f64], truth_id: Option<u64>) -> bool {
         if let Some(id) = truth_id {
@@ -261,27 +215,31 @@ where
         true
     }
 
-    /// Serving mode of the wrapped [`crate::conformal::PiService`].
+    /// Serving mode of the wrapped [`crate::conformal::PiService`], as
+    /// published by the last observation; takes no lock.
     pub fn mode(&self) -> ServiceMode {
-        self.healing.read().service().mode()
+        if self.drifted.load(Ordering::SeqCst) {
+            ServiceMode::Drifted
+        } else {
+            ServiceMode::Stable
+        }
     }
 
     /// Remediation state of the self-healing layer.
     pub fn heal_state(&self) -> HealState {
-        self.healing.read().state()
+        self.chain().primary().state()
     }
 
     /// Total truths absorbed by the self-healing layer.
     pub fn observations(&self) -> u64 {
-        self.healing.read().observations()
+        self.chain().primary().observations()
     }
 
     /// Full-chain checkpoint: the self-healing service state plus every
     /// breaker's snapshot, so a restore resumes the *whole* serving chain.
     pub fn checkpoint(&self) -> Checkpoint {
-        let resilient = self.resilient();
-        let ckpt = self.healing.read().checkpoint();
-        ckpt.with_breakers(resilient.export_breakers())
+        let chain = self.chain();
+        chain.primary().checkpoint().with_breakers(chain.export_breakers())
     }
 
     /// Restores breaker state from a checkpoint's snapshots (the healing
@@ -289,7 +247,7 @@ where
     /// [`SelfHealingService::restore`]). Counts as a serving-state change:
     /// the epoch advances so no cached interval predates the restore.
     pub fn restore_breakers(&self, snapshots: &[BreakerSnapshot]) -> Result<(), CardEstError> {
-        let result = self.resilient().restore_breakers(snapshots);
+        let result = self.chain().restore_breakers(snapshots);
         self.epoch.fetch_add(2, Ordering::SeqCst);
         result
     }
@@ -297,28 +255,26 @@ where
     /// The healing layer's remediation tuning (the reload validator reuses
     /// its `epsilon` slack and `max_width_blowup` guard).
     pub fn heal_config(&self) -> HealConfig {
-        self.healing.read().heal_config()
+        self.chain().primary().heal_config()
     }
 
     /// The wrapped service's miscoverage target α.
     pub fn alpha(&self) -> f64 {
-        self.healing.read().service().config().alpha
+        self.chain().primary().service().config().alpha
     }
 
     /// Resilience counters (copied out; the chain lock is released before
     /// returning).
     pub fn resilience_stats(&self) -> ResilienceStats {
-        self.resilient().stats().clone()
+        self.chain().stats().clone()
     }
 
     /// Mirrors chain + heal state into the telemetry registry.
     pub fn publish_metrics(&self) {
-        {
-            let resilient = self.resilient();
-            resilient.publish_telemetry();
-        }
+        let chain = self.chain();
+        chain.publish_telemetry();
         if ce_telemetry::enabled() {
-            let healing = self.healing.read();
+            let healing = chain.primary();
             ce_telemetry::gauge("serve.heal_state").set(match healing.state() {
                 HealState::Healthy => 0.0,
                 HealState::Recalibrating => 1.0,
@@ -340,8 +296,8 @@ where
 /// calibration state covered by the observe window), so an unchanged
 /// fingerprint across a predict batch means serving behaviour was
 /// unchanged by it.
-fn breaker_fingerprint(resilient: &ResilientService) -> Vec<BreakerState> {
-    (0..).map_while(|position| resilient.breaker_state(position)).collect()
+fn breaker_fingerprint<P: PiEstimator>(chain: &ResilientService<P>) -> Vec<BreakerState> {
+    (0..).map_while(|position| chain.breaker_state(position)).collect()
 }
 
 /// Tuning for [`start_server`].
@@ -500,9 +456,14 @@ pub fn value_to_f64(value: &serde_json::Value) -> Result<f64, String> {
     }
 }
 
+/// `text` as a quoted JSON string literal, escaped as RFC 8259 requires
+/// (quotes, backslashes and control characters).
+pub(crate) fn json_string(text: &str) -> String {
+    serde_json::to_string(text).expect("a string always serializes")
+}
+
 pub(crate) fn json_error(status: u16, message: &str) -> Response {
-    let escaped = message.replace('\\', "\\\\").replace('"', "\\\"");
-    Response::json(status, format!("{{\"error\":\"{escaped}\"}}"))
+    Response::json(status, format!("{{\"error\":{}}}", json_string(message)))
 }
 
 /// Mirrors the server's connection/poller counters into the telemetry
@@ -614,10 +575,9 @@ pub(crate) fn render_predict_body(
                 body.push('}');
             }
             Err(e) => {
-                let msg = e.to_string().replace('\\', "\\\\").replace('"', "\\\"");
-                body.push_str("{\"error\":\"");
-                body.push_str(&msg);
-                body.push_str("\"}");
+                body.push_str("{\"error\":");
+                body.push_str(&json_string(&e.to_string()));
+                body.push('}');
             }
         }
     }

@@ -38,9 +38,9 @@
 //!   entries wholesale.
 //!
 //! Lock order: the registry's model map read-lock, then a model's engine
-//! slot read-lock, then the engine's documented `resilient → healing`
-//! chain order. The cache and limiter use their own leaf mutexes and are
-//! never held across an engine call.
+//! slot read-lock, then the engine's one chain mutex. The cache and
+//! limiter use their own leaf mutexes and are never held across an engine
+//! call.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,8 +52,8 @@ use crate::conformal::{
     ScoreFunction,
 };
 use crate::serve::{
-    json_error, parse_predict_body, parse_truth_id, publish_server_stats, render_predict_body,
-    HttpServeConfig, ServeEngine, ServeHandle,
+    json_error, json_string, parse_predict_body, parse_truth_id, publish_server_stats,
+    render_predict_body, HttpServeConfig, ServeEngine, ServeHandle,
 };
 use ce_server::{
     fnv1a64, Admission, BatchError, BatcherConfig, BatcherStats, HttpServer, MicroBatcher,
@@ -429,12 +429,11 @@ pub struct ReloadReport {
 impl ReloadReport {
     /// The report as a JSON object (the admin endpoint's response body).
     pub fn to_json(&self) -> String {
-        let escaped = self.model.replace('\\', "\\\\").replace('"', "\\\"");
         format!(
-            "{{\"model\":\"{}\",\"promoted\":{},\"validated\":{},\"replay\":{},\
+            "{{\"model\":{},\"promoted\":{},\"validated\":{},\"replay\":{},\
              \"shadow_coverage\":{},\"coverage_floor\":{},\"width_ratio\":{},\
              \"width_ceiling\":{}}}",
-            escaped,
+            json_string(&self.model),
             self.promoted,
             self.validated,
             self.replay_len,
@@ -739,8 +738,7 @@ fn model_suffix<'p>(path: &'p str, prefix: &str) -> Option<&'p str> {
 }
 
 fn unknown_model(name: &str) -> Response {
-    let escaped = name.replace('\\', "\\\\").replace('"', "\\\"");
-    Response::json(404, format!("{{\"error\":\"no such model\",\"model\":\"{escaped}\"}}"))
+    Response::json(404, format!("{{\"error\":\"no such model\",\"model\":{}}}", json_string(name)))
 }
 
 fn route_registry<M, S>(
@@ -817,10 +815,9 @@ where
             Admission::Allowed => {}
             Admission::Limited { retry_after_secs } => {
                 ce_telemetry::counter("tenant.rate_limited").inc();
-                let escaped = tenant.replace('\\', "\\\\").replace('"', "\\\"");
                 return Response::json(
                     429,
-                    format!("{{\"error\":\"rate limited\",\"tenant\":\"{escaped}\"}}"),
+                    format!("{{\"error\":\"rate limited\",\"tenant\":{}}}", json_string(tenant)),
                 )
                 .header("Retry-After", &retry_after_secs.to_string());
             }
@@ -1280,6 +1277,38 @@ mod tests {
             misses_before + 1,
             "an observation must invalidate cached intervals"
         );
+        registry.shutdown_batchers();
+    }
+
+    /// `mode()` reads the mode published at the last observation instead of
+    /// taking the chain lock: a drifted engine must say so on the wire, and
+    /// its cached body must match a fresh render of the same state.
+    #[test]
+    fn drifted_mode_reaches_the_wire_and_cached_bodies_match_fresh_ones() {
+        use crate::conformal::ServiceMode;
+        let registry: ModelRegistry<Model, AbsoluteResidual> = ModelRegistry::new(tuning());
+        let engine = registry.register(DEFAULT_MODEL, engine()).engine();
+        assert_eq!(engine.mode(), ServiceMode::Stable);
+        // Truths ever further above every estimate: the drift detector trips.
+        for i in 0.. {
+            assert!(i < 1000, "the drifting stream never switched the mode");
+            let observe = format!("{{\"features\":[[{i}.0]],\"truths\":[{}.0]}}", 2 * i + 50);
+            assert_eq!(post(&registry, "/v1/observe", &[], observe.as_bytes()).status, 200);
+            if engine.mode() == ServiceMode::Drifted {
+                break;
+            }
+        }
+        let body = br#"{"features":[[3.0],[9.0]]}"#;
+        let first = post(&registry, "/v1/predict", &[], body);
+        assert_eq!(first.status, 200);
+        let text = String::from_utf8_lossy(&first.body).into_owned();
+        assert!(text.starts_with(r#"{"mode":"drifted","#), "unexpected body {text}");
+        let hits = registry.cache().stats().hits;
+        let repeat = post(&registry, "/v1/predict", &[], body);
+        assert_eq!(registry.cache().stats().hits, hits + 1, "the repeat must hit the cache");
+        let fresh =
+            render_predict_body(engine.mode(), &engine.predict_batch(&[vec![3.0], vec![9.0]]));
+        assert_eq!(repeat.body, fresh.as_bytes(), "a cached body must match a fresh render");
         registry.shutdown_batchers();
     }
 

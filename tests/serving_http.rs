@@ -329,6 +329,47 @@ fn get_only_endpoints_reject_other_methods_with_405() {
     handle.drain();
 }
 
+/// Error bodies stay valid JSON when they echo client text: the 422 for a
+/// non-numeric feature quotes the client's string, and its quotes,
+/// backslashes and control characters must arrive escaped (RFC 8259 §7
+/// forbids raw control characters inside a JSON string).
+#[test]
+fn error_bodies_escape_echoed_client_text() {
+    let xs: Vec<Vec<f32>> = (0..16).map(|i| vec![i as f32 / 16.0]).collect();
+    let ys: Vec<f64> = xs.iter().map(|x| x[0] as f64 + 0.01).collect();
+    let healing = SelfHealingService::new(
+        |f: &[f32]| f[0] as f64,
+        AbsoluteResidual,
+        &xs,
+        &ys,
+        PiServiceConfig::default(),
+        HealConfig::default(),
+    );
+    let handle = start_server(
+        Arc::new(ServeEngine::new(healing, Vec::new(), 1)),
+        "127.0.0.1:0",
+        HttpServeConfig::default(),
+    )
+    .expect("bind loopback server");
+    let mut client = HttpClient::connect(handle.local_addr()).expect("connect");
+    let resp = client
+        .post("/v1/predict", br#"{"features":[["a\nb\"c\\d\u0001"]]}"#)
+        .expect("POST");
+    assert_eq!(resp.status, 422);
+    assert!(
+        resp.body.iter().all(|&b| b >= 0x20),
+        "raw control character in {:?}",
+        String::from_utf8_lossy(&resp.body)
+    );
+    let text = std::str::from_utf8(&resp.body).expect("UTF-8 body");
+    let value = serde_json::parse(text).expect("the 422 body is JSON");
+    let Ok(serde_json::Value::Str(message)) = value.field("error") else {
+        panic!("no error string in {text}");
+    };
+    assert_eq!(message, "`features[0]`: not a number: `a\nb\"c\\d\u{1}`");
+    handle.drain();
+}
+
 /// A bare echo server for connection-level stress tests (no estimator, no
 /// batcher — just the event-driven substrate).
 fn stress_server(read_timeout: Duration) -> HttpServer {
