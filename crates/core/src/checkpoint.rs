@@ -53,7 +53,7 @@ impl Checkpoint {
     }
 }
 
-impl<M: Regressor + Clone, S: ScoreFunction + Clone> SelfHealingService<M, S> {
+impl<M: Regressor, S: ScoreFunction> SelfHealingService<M, S> {
     /// Captures the full serving state as a [`Checkpoint`].
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
@@ -63,13 +63,12 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> SelfHealingService<M, S> {
         }
     }
 
-    /// Rebuilds a service from a checkpoint around fresh copies of the
-    /// (unserializable) model and score function. The restored service
-    /// resumes bit-for-bit: `restored.checkpoint()` re-encodes to the same
-    /// bytes.
+    /// Rebuilds a service from a checkpoint around the (unserializable)
+    /// model and score function. The restored service resumes bit-for-bit:
+    /// `restored.checkpoint()` re-encodes to the same bytes.
     pub fn restore(model: M, score: S, checkpoint: Checkpoint) -> Result<Self, CardEstError> {
-        let service = PiService::from_state(model.clone(), score.clone(), checkpoint.service)?;
-        SelfHealingService::from_snapshot(service, model, score, checkpoint.heal)
+        let service = PiService::from_state(model, score, checkpoint.service)?;
+        SelfHealingService::from_snapshot(service, checkpoint.heal)
     }
 }
 

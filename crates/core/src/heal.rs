@@ -144,7 +144,7 @@ impl HealEvent {
 }
 
 /// The checkpointable state of the healing layer (everything except the
-/// wrapped service, model, and score function).
+/// wrapped service).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct HealSnapshot {
     pub config: HealConfig,
@@ -167,8 +167,6 @@ pub(crate) struct HealSnapshot {
 #[derive(Debug, Clone)]
 pub struct SelfHealingService<M, S> {
     service: PiService<M, S>,
-    model: M,
-    score: S,
     config: HealConfig,
     state: HealState,
     /// Observations fed through this layer (the state machine's clock).
@@ -186,7 +184,7 @@ pub struct SelfHealingService<M, S> {
     history: Vec<HealEvent>,
 }
 
-impl<M: Regressor + Clone, S: ScoreFunction + Clone> SelfHealingService<M, S> {
+impl<M: Regressor, S: ScoreFunction> SelfHealingService<M, S> {
     /// Bound on the remediation history kept for diagnostics.
     pub const HISTORY_CAP: usize = 32;
 
@@ -217,9 +215,8 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> SelfHealingService<M, S> {
         heal_config: HealConfig,
     ) -> Result<Self, CardEstError> {
         Self::check_config(&heal_config)?;
-        let service =
-            PiService::try_new(model.clone(), score.clone(), calib_x, calib_y, service_config)?;
-        Ok(Self::from_parts(service, model, score, heal_config))
+        let service = PiService::try_new(model, score, calib_x, calib_y, service_config)?;
+        Ok(Self::from_parts(service, heal_config))
     }
 
     fn check_config(config: &HealConfig) -> Result<(), CardEstError> {
@@ -243,11 +240,9 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> SelfHealingService<M, S> {
         Ok(())
     }
 
-    fn from_parts(service: PiService<M, S>, model: M, score: S, config: HealConfig) -> Self {
+    fn from_parts(service: PiService<M, S>, config: HealConfig) -> Self {
         SelfHealingService {
             service,
-            model,
-            score,
             config,
             state: HealState::Healthy,
             observations: 0,
@@ -328,11 +323,7 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> SelfHealingService<M, S> {
 
     /// Serves a whole batch with one batched calibrator call (delegates to
     /// [`PiService::predict_interval_batch`]).
-    pub fn predict_interval_batch(&self, queries: &[Vec<f32>]) -> Vec<PredictionInterval>
-    where
-        M: Sync,
-        S: Sync,
-    {
+    pub fn predict_interval_batch(&self, queries: &[Vec<f32>]) -> Vec<PredictionInterval> {
         self.service.predict_interval_batch(queries)
     }
 
@@ -349,10 +340,9 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> SelfHealingService<M, S> {
     /// machine one step.
     pub fn observe(&mut self, features: &[f32], y_true: f64) {
         self.observations += 1;
-        // Score against the model *before* the calibrators absorb the pair —
-        // the same fresh-regime view the coverage monitor gets.
-        let score = self.score.score(y_true, self.model.predict(features));
-        self.service.observe(features, y_true);
+        // The service's one forward pass scores the truth: the same
+        // fresh-regime score its calibration sets absorb.
+        let score = self.service.observe_scored(features, y_true);
         match self.state {
             HealState::Healthy => {
                 if self.service.coverage_monitor().drift().is_some()
@@ -494,12 +484,10 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> SelfHealingService<M, S> {
     /// Rebuilds the layer from checkpointed state around a restored service.
     pub(crate) fn from_snapshot(
         service: PiService<M, S>,
-        model: M,
-        score: S,
         snap: HealSnapshot,
     ) -> Result<Self, CardEstError> {
         Self::check_config(&snap.config)?;
-        let mut svc = Self::from_parts(service, model, score, snap.config);
+        let mut svc = Self::from_parts(service, snap.config);
         svc.state = snap.state;
         svc.observations = snap.observations;
         svc.gathered = snap.gathered;
@@ -567,16 +555,9 @@ mod tests {
         let (mut svc, mut rng) = healing_service(1, heal);
         // A bare service built identically (same seed stream).
         let mut rng2 = StdRng::seed_from_u64(1);
-        let model = |f: &[f32]| f[0] as f64;
-        let (cx, cy): (Vec<Vec<f32>>, Vec<f64>) =
-            (0..300).map(|_| calib_point(&mut rng2)).unzip();
-        let mut bare = PiService::new(
-            model,
-            AbsoluteResidual,
-            &cx,
-            &cy,
-            PiServiceConfig { window: 150, ..Default::default() },
-        );
+        let (cx, cy): (Vec<Vec<f32>>, Vec<f64>) = (0..300).map(|_| calib_point(&mut rng2)).unzip();
+        let config = PiServiceConfig { window: 150, ..Default::default() };
+        let mut bare = PiService::new(|f: &[f32]| f[0] as f64, AbsoluteResidual, &cx, &cy, config);
         for _ in 0..600 {
             let (x, y) = calm_point(&mut rng);
             let (x2, y2) = calm_point(&mut rng2);

@@ -11,6 +11,11 @@ pub struct PredictionInterval {
 }
 
 impl PredictionInterval {
+    /// `(-∞, +∞)`: what the infallible serving paths answer for a query
+    /// whose prediction is non-finite (the `try_*` paths report the error).
+    pub(crate) const UNBOUNDED: PredictionInterval =
+        PredictionInterval { lo: f64::NEG_INFINITY, hi: f64::INFINITY };
+
     /// Creates an interval, ordering the endpoints if needed. A NaN endpoint
     /// carries no information and is replaced by the conservative infinite
     /// endpoint for its side, so `width`/`contains` stay well-defined (an

@@ -14,7 +14,7 @@
 use crate::interval::PredictionInterval;
 use crate::quantile::{conformal_quantile, conformal_quantile_lower};
 use crate::regressor::{FitRegressor, Regressor};
-use crate::score::ScoreFunction;
+use crate::score::{interval_at, ScoreFunction};
 
 /// Deterministically shuffles `0..n` into `k` near-equal folds; returns the
 /// fold id of each index.
@@ -292,11 +292,11 @@ impl<M: Regressor, S: ScoreFunction> JackknifeCv<M, S> {
         self.full_model.predict(features)
     }
 
-    /// The symmetric interval: score inversion at δ around `f̂(x)`.
+    /// The symmetric interval: score inversion at δ around `f̂(x)`; a
+    /// non-finite prediction gets the conservative `(-∞, +∞)`.
     pub fn interval(&self, features: &[f32]) -> PredictionInterval {
-        let y_hat = self.full_model.predict(features);
-        let (lo, hi) = self.score.interval(y_hat, self.delta);
-        PredictionInterval::new(lo, hi)
+        interval_at(&self.score, self.full_model.predict(features), self.delta)
+            .unwrap_or(PredictionInterval::UNBOUNDED)
     }
 
     /// The miscoverage level.

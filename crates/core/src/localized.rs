@@ -11,7 +11,7 @@
 use crate::error::{check_alpha, check_lengths, CardEstError};
 use crate::interval::PredictionInterval;
 use crate::regressor::Regressor;
-use crate::score::ScoreFunction;
+use crate::score::{interval_at, ScoreFunction};
 
 /// Localized conformal predictor: k-nearest-neighbour calibration.
 #[derive(Debug, Clone)]
@@ -131,25 +131,16 @@ impl<M: Regressor, S: ScoreFunction> LocalizedConformal<M, S> {
         self.model.predict(features)
     }
 
-    /// The locally calibrated prediction interval.
+    /// The locally calibrated prediction interval; a non-finite model
+    /// prediction gets the conservative `(-∞, +∞)`.
     pub fn interval(&self, features: &[f32]) -> PredictionInterval {
-        let y_hat = self.model.predict(features);
-        let (lo, hi) = self.score.interval(y_hat, self.local_delta(features));
-        PredictionInterval::new(lo, hi)
+        self.try_interval(features).unwrap_or(PredictionInterval::UNBOUNDED)
     }
 
     /// Like [`LocalizedConformal::interval`], but a non-finite model
     /// prediction is reported as [`CardEstError::NonFiniteScore`].
     pub fn try_interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
-        let y_hat = self.model.predict(features);
-        if !y_hat.is_finite() {
-            return Err(CardEstError::NonFiniteScore {
-                value: y_hat,
-                context: "model prediction",
-            });
-        }
-        let (lo, hi) = self.score.interval(y_hat, self.local_delta(features));
-        Ok(PredictionInterval::new(lo, hi))
+        interval_at(&self.score, self.model.predict(features), self.local_delta(features))
     }
 
     /// Neighbourhood size in use.

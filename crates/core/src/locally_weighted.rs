@@ -4,7 +4,7 @@ use crate::error::{check_alpha, check_lengths, CardEstError};
 use crate::interval::PredictionInterval;
 use crate::quantile::{conformal_quantile, try_conformal_quantile};
 use crate::regressor::Regressor;
-use crate::score::ScoreFunction;
+use crate::score::{interval_at, ScoreFunction};
 
 /// Locally weighted split conformal: scores are normalized by a per-query
 /// difficulty estimate `U(X)`, so the calibrated threshold scales with query
@@ -115,12 +115,10 @@ impl<M: Regressor, D: Regressor, S: ScoreFunction> LocallyWeightedConformal<M, D
         self.difficulty.predict(features).max(self.min_difficulty)
     }
 
-    /// The adaptive prediction interval: the score inversion at `δ · U(X)`.
+    /// The adaptive prediction interval: the score inversion at `δ · U(X)`;
+    /// a non-finite model prediction gets the conservative `(-∞, +∞)`.
     pub fn interval(&self, features: &[f32]) -> PredictionInterval {
-        let y_hat = self.model.predict(features);
-        let u = self.difficulty(features);
-        let (lo, hi) = self.score.interval(y_hat, self.delta * u);
-        PredictionInterval::new(lo, hi)
+        self.try_interval(features).unwrap_or(PredictionInterval::UNBOUNDED)
     }
 
     /// Like [`LocallyWeightedConformal::interval`], but a non-finite model
@@ -129,15 +127,7 @@ impl<M: Regressor, D: Regressor, S: ScoreFunction> LocallyWeightedConformal<M, D
     /// conservative widening and is not an error.)
     pub fn try_interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
         let y_hat = self.model.predict(features);
-        if !y_hat.is_finite() {
-            return Err(CardEstError::NonFiniteScore {
-                value: y_hat,
-                context: "model prediction",
-            });
-        }
-        let u = self.difficulty(features);
-        let (lo, hi) = self.score.interval(y_hat, self.delta * u);
-        Ok(PredictionInterval::new(lo, hi))
+        interval_at(&self.score, y_hat, self.delta * self.difficulty(features))
     }
 }
 

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use crate::interval::PredictionInterval;
 use crate::quantile::conformal_quantile;
 use crate::regressor::Regressor;
-use crate::score::ScoreFunction;
+use crate::score::{interval_at, ScoreFunction};
 
 /// Group-conditional split conformal: one δ per taxonomy class.
 #[derive(Debug, Clone)]
@@ -95,11 +95,11 @@ where
         self.model.predict(features)
     }
 
-    /// The class-calibrated prediction interval.
+    /// The class-calibrated prediction interval; a non-finite model
+    /// prediction gets the conservative `(-∞, +∞)`.
     pub fn interval(&self, features: &[f32]) -> PredictionInterval {
-        let y_hat = self.model.predict(features);
-        let (lo, hi) = self.score.interval(y_hat, self.delta_for(features));
-        PredictionInterval::new(lo, hi)
+        interval_at(&self.score, self.model.predict(features), self.delta_for(features))
+            .unwrap_or(PredictionInterval::UNBOUNDED)
     }
 }
 

@@ -5,13 +5,17 @@
 //! without breaking exchangeability. [`OnlineConformal`] grows the score set
 //! forever (Fig. 8); [`WindowedConformal`] keeps only the last `w` scores so
 //! the calibration tracks the recent workload.
+//!
+//! The score sets themselves hold no model: `SortedScores` and
+//! `WindowScores` are plain multisets, so [`PiService`](crate::PiService)
+//! keeps both beside its one model and feeds them one score per truth.
 
 use std::collections::VecDeque;
 
 use crate::error::{check_alpha, check_lengths, CardEstError};
 use crate::interval::PredictionInterval;
 use crate::regressor::Regressor;
-use crate::score::ScoreFunction;
+use crate::score::{interval_at, intervals_at, unbounded_on_error, ScoreFunction};
 
 /// Maintains a sorted score multiset supporting O(log n) insertion position
 /// lookup and O(1) conformal-quantile reads.
@@ -21,13 +25,32 @@ use crate::score::ScoreFunction;
 /// order statistics, so a bad observation conservatively widens the
 /// threshold instead of panicking or poisoning the sort order.
 #[derive(Debug, Clone, Default)]
-struct SortedScores {
+pub(crate) struct SortedScores {
     values: Vec<f64>,
     n_nonfinite: usize,
 }
 
+/// The multiset of the collected scores, non-finite ones counted as `+∞`.
+impl FromIterator<f64> for SortedScores {
+    fn from_iter<I: IntoIterator<Item = f64>>(scores: I) -> Self {
+        let mut set = SortedScores::default();
+        scores.into_iter().for_each(|s| set.insert(s));
+        set
+    }
+}
+
 impl SortedScores {
-    fn insert(&mut self, v: f64) {
+    /// Scores a calibration set: one forward pass per point.
+    pub(crate) fn calibrate<M: Regressor, S: ScoreFunction>(
+        model: &M,
+        score: &S,
+        calib_x: &[Vec<f32>],
+        calib_y: &[f64],
+    ) -> Self {
+        calib_x.iter().zip(calib_y).map(|(x, &y)| score.score(y, model.predict(x))).collect()
+    }
+
+    pub(crate) fn insert(&mut self, v: f64) {
         if !v.is_finite() {
             self.n_nonfinite += 1;
             return;
@@ -79,21 +102,27 @@ impl SortedScores {
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.values.len() + self.n_nonfinite
     }
 
     /// Rebuilds the multiset from already-sorted finite values plus a
     /// non-finite count (checkpoint restore). The sort order is the caller's
     /// contract; a violation is caught in debug builds only.
-    fn from_sorted(values: Vec<f64>, n_nonfinite: usize) -> Self {
+    pub(crate) fn from_sorted(values: Vec<f64>, n_nonfinite: usize) -> Self {
         debug_assert!(values.windows(2).all(|w| w[0] <= w[1]), "restore requires sorted scores");
         SortedScores { values, n_nonfinite }
     }
 
+    /// The finite scores in order and the non-finite count: the inverse of
+    /// [`SortedScores::from_sorted`] (checkpoint export).
+    pub(crate) fn to_parts(&self) -> (Vec<f64>, usize) {
+        (self.values.clone(), self.n_nonfinite)
+    }
+
     /// The `⌈(1-α)(n+1)⌉`-th smallest, `+∞` if out of range or if the rank
     /// lands in the non-finite tail.
-    fn conformal_quantile(&self, alpha: f64) -> f64 {
+    pub(crate) fn conformal_quantile(&self, alpha: f64) -> f64 {
         let n = self.len();
         let rank = ((1.0 - alpha) * (n as f64 + 1.0)).ceil() as usize;
         if rank == 0 || rank > self.values.len() {
@@ -101,6 +130,60 @@ impl SortedScores {
         } else {
             self.values[rank - 1]
         }
+    }
+}
+
+/// The most recent `window` scores: a [`SortedScores`] multiset for
+/// quantile reads plus the arrival-order FIFO that drives eviction.
+#[derive(Debug, Clone)]
+pub(crate) struct WindowScores {
+    sorted: SortedScores,
+    recency: VecDeque<f64>,
+    window: usize,
+}
+
+impl WindowScores {
+    pub(crate) fn new(window: usize) -> Self {
+        WindowScores {
+            sorted: SortedScores::default(),
+            recency: VecDeque::with_capacity(window + 1),
+            window,
+        }
+    }
+
+    pub(crate) fn conformal_quantile(&self, alpha: f64) -> f64 {
+        self.sorted.conformal_quantile(alpha)
+    }
+
+    /// Adds a score, evicting the oldest when full. A non-finite score is
+    /// recorded as `+∞` (and evicted like any other). An eviction whose
+    /// score cannot be located even within epsilon (a float perturbed
+    /// behind the window's back) is dropped and counted under the
+    /// `windowed.evict_miss` telemetry counter rather than aborting the
+    /// serve loop.
+    pub(crate) fn push(&mut self, s: f64) {
+        self.recency.push_back(s);
+        self.sorted.insert(s);
+        if self.recency.len() > self.window {
+            let old = self.recency.pop_front().expect("non-empty window");
+            if self.sorted.remove(old).is_err() {
+                ce_telemetry::counter("windowed.evict_miss").inc();
+            }
+        }
+    }
+
+    /// The window's scores in arrival order, oldest first (raw values —
+    /// non-finite scores appear as observed).
+    pub(crate) fn recency(&self) -> impl Iterator<Item = f64> + '_ {
+        self.recency.iter().copied()
+    }
+
+    /// Replaces the contents with `scores` in arrival order, keeping only
+    /// the most recent `window` of them.
+    pub(crate) fn replace(&mut self, scores: &[f64]) {
+        let recent = &scores[scores.len().saturating_sub(self.window)..];
+        self.recency = recent.iter().copied().collect();
+        self.sorted = recent.iter().copied().collect();
     }
 }
 
@@ -126,13 +209,8 @@ impl<M: Regressor, S: ScoreFunction> OnlineConformal<M, S> {
         calib_y: &[f64],
         alpha: f64,
     ) -> Self {
-        assert_eq!(calib_x.len(), calib_y.len(), "calibration set length mismatch");
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-        let mut scores = SortedScores::default();
-        for (x, &y) in calib_x.iter().zip(calib_y) {
-            scores.insert(score.score(y, model.predict(x)));
-        }
-        OnlineConformal { model, score, scores, alpha }
+        Self::try_new(model, score, calib_x, calib_y, alpha)
+            .expect("invalid OnlineConformal configuration")
     }
 
     /// Non-panicking [`OnlineConformal::new`]: reports mismatched lengths and
@@ -149,10 +227,7 @@ impl<M: Regressor, S: ScoreFunction> OnlineConformal<M, S> {
     ) -> Result<Self, CardEstError> {
         check_lengths(calib_x.len(), calib_y.len())?;
         check_alpha(alpha)?;
-        let mut scores = SortedScores::default();
-        for (x, &y) in calib_x.iter().zip(calib_y) {
-            scores.insert(score.score(y, model.predict(x)));
-        }
+        let scores = SortedScores::calibrate(&model, &score, calib_x, calib_y);
         Ok(OnlineConformal { model, score, scores, alpha })
     }
 
@@ -171,75 +246,39 @@ impl<M: Regressor, S: ScoreFunction> OnlineConformal<M, S> {
         self.model.predict(features)
     }
 
-    /// Interval under the current calibration set.
+    /// Interval under the current calibration set; a non-finite model
+    /// prediction serves the conservative `(-∞, +∞)`.
     pub fn interval(&self, features: &[f32]) -> PredictionInterval {
-        let y_hat = self.model.predict(features);
-        let (lo, hi) = self.score.interval(y_hat, self.delta());
-        PredictionInterval::new(lo, hi)
+        self.try_interval(features).unwrap_or(PredictionInterval::UNBOUNDED)
     }
 
     /// Like [`OnlineConformal::interval`], but a non-finite model prediction
     /// is reported as [`CardEstError::NonFiniteScore`] instead of silently
     /// producing a garbage interval.
     pub fn try_interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
-        let y_hat = self.model.predict(features);
-        if !y_hat.is_finite() {
-            return Err(CardEstError::NonFiniteScore {
-                value: y_hat,
-                context: "model prediction",
-            });
-        }
-        let (lo, hi) = self.score.interval(y_hat, self.delta());
-        Ok(PredictionInterval::new(lo, hi))
+        interval_at(&self.score, self.model.predict(features), self.delta())
     }
 
     /// Batched [`OnlineConformal::try_interval`]: one
-    /// [`Regressor::predict_batch`] call for the whole batch (models with a
-    /// real batch path amortize their forward pass), one threshold read,
-    /// per-query finiteness checks. Output `i` equals
-    /// `try_interval(&queries[i])` exactly — the threshold is a pure read
-    /// and the batch predict is row-identical by the regressor contract.
+    /// [`Regressor::predict_batch`] call for the whole batch, one threshold
+    /// read, per-query finiteness checks. Output `i` equals
+    /// `try_interval(&queries[i])` exactly.
     pub fn try_interval_batch(
         &self,
         queries: &[Vec<f32>],
     ) -> Vec<Result<PredictionInterval, CardEstError>> {
-        let delta = self.delta();
-        self.model
-            .predict_batch(queries)
-            .into_iter()
-            .map(|y_hat| {
-                if !y_hat.is_finite() {
-                    return Err(CardEstError::NonFiniteScore {
-                        value: y_hat,
-                        context: "model prediction",
-                    });
-                }
-                let (lo, hi) = self.score.interval(y_hat, delta);
-                Ok(PredictionInterval::new(lo, hi))
-            })
-            .collect()
+        intervals_at(&self.model, &self.score, queries, self.delta())
     }
 
-    /// Batched [`OnlineConformal::interval`] (infallible form; a non-finite
-    /// prediction propagates into the interval exactly as on the single
-    /// path).
+    /// Batched [`OnlineConformal::interval`] (infallible form).
     pub fn interval_batch(&self, queries: &[Vec<f32>]) -> Vec<PredictionInterval> {
-        let delta = self.delta();
-        self.model
-            .predict_batch(queries)
-            .into_iter()
-            .map(|y_hat| {
-                let (lo, hi) = self.score.interval(y_hat, delta);
-                PredictionInterval::new(lo, hi)
-            })
-            .collect()
+        unbounded_on_error(self.try_interval_batch(queries))
     }
 
     /// Folds an executed query's observed truth into the calibration set.
     /// A non-finite score (corrupt prediction or label) is recorded as `+∞`.
     pub fn observe(&mut self, features: &[f32], y_true: f64) {
-        let s = self.score.score(y_true, self.model.predict(features));
-        self.scores.insert(s);
+        self.scores.insert(self.score.score(y_true, self.model.predict(features)));
     }
 
     /// The finite calibration scores in sorted order (non-finite
@@ -255,21 +294,10 @@ impl<M: Regressor, S: ScoreFunction> OnlineConformal<M, S> {
         self.scores.n_nonfinite
     }
 
-    /// Atomically replaces the whole calibration set with `scores` (the
-    /// promotion step of drift remediation). Non-finite entries are counted
-    /// as `+∞` like any observed score.
+    /// Atomically replaces the whole calibration set with `scores`.
+    /// Non-finite entries are counted as `+∞` like any observed score.
     pub fn replace_scores(&mut self, scores: &[f64]) {
-        let mut fresh = SortedScores::default();
-        for &s in scores {
-            fresh.insert(s);
-        }
-        self.scores = fresh;
-    }
-
-    /// Checkpoint restore: adopts already-sorted finite scores plus a
-    /// non-finite count without re-sorting.
-    pub(crate) fn restore_sorted(&mut self, values: Vec<f64>, n_nonfinite: usize) {
-        self.scores = SortedScores::from_sorted(values, n_nonfinite);
+        self.scores = scores.iter().copied().collect();
     }
 }
 
@@ -278,9 +306,7 @@ impl<M: Regressor, S: ScoreFunction> OnlineConformal<M, S> {
 pub struct WindowedConformal<M, S> {
     model: M,
     score: S,
-    scores: SortedScores,
-    recency: VecDeque<f64>,
-    window: usize,
+    scores: WindowScores,
     alpha: f64,
 }
 
@@ -290,16 +316,7 @@ impl<M: Regressor, S: ScoreFunction> WindowedConformal<M, S> {
     /// # Panics
     /// Panics if `window == 0` or `alpha` outside `(0, 1)`.
     pub fn new(model: M, score: S, window: usize, alpha: f64) -> Self {
-        assert!(window > 0, "window must be positive");
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-        WindowedConformal {
-            model,
-            score,
-            scores: SortedScores::default(),
-            recency: VecDeque::with_capacity(window + 1),
-            window,
-            alpha,
-        }
+        Self::try_new(model, score, window, alpha).expect("invalid WindowedConformal configuration")
     }
 
     /// Non-panicking [`WindowedConformal::new`].
@@ -308,17 +325,17 @@ impl<M: Regressor, S: ScoreFunction> WindowedConformal<M, S> {
             return Err(CardEstError::InvalidParameter("window must be positive"));
         }
         check_alpha(alpha)?;
-        Ok(WindowedConformal::new(model, score, window, alpha))
+        Ok(WindowedConformal { model, score, scores: WindowScores::new(window), alpha })
     }
 
     /// Number of scores currently in the window.
     pub fn len(&self) -> usize {
-        self.recency.len()
+        self.scores.recency.len()
     }
 
     /// True when no scores have been observed yet.
     pub fn is_empty(&self) -> bool {
-        self.recency.is_empty()
+        self.scores.recency.is_empty()
     }
 
     /// Current threshold δ (`+∞` while the window is too small).
@@ -326,25 +343,16 @@ impl<M: Regressor, S: ScoreFunction> WindowedConformal<M, S> {
         self.scores.conformal_quantile(self.alpha)
     }
 
-    /// Interval under the current window.
+    /// Interval under the current window; a non-finite model prediction
+    /// serves the conservative `(-∞, +∞)`.
     pub fn interval(&self, features: &[f32]) -> PredictionInterval {
-        let y_hat = self.model.predict(features);
-        let (lo, hi) = self.score.interval(y_hat, self.delta());
-        PredictionInterval::new(lo, hi)
+        self.try_interval(features).unwrap_or(PredictionInterval::UNBOUNDED)
     }
 
     /// Like [`WindowedConformal::interval`], but a non-finite model
     /// prediction is reported as [`CardEstError::NonFiniteScore`].
     pub fn try_interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
-        let y_hat = self.model.predict(features);
-        if !y_hat.is_finite() {
-            return Err(CardEstError::NonFiniteScore {
-                value: y_hat,
-                context: "model prediction",
-            });
-        }
-        let (lo, hi) = self.score.interval(y_hat, self.delta());
-        Ok(PredictionInterval::new(lo, hi))
+        interval_at(&self.score, self.model.predict(features), self.delta())
     }
 
     /// Batched [`WindowedConformal::try_interval`]; see
@@ -353,71 +361,31 @@ impl<M: Regressor, S: ScoreFunction> WindowedConformal<M, S> {
         &self,
         queries: &[Vec<f32>],
     ) -> Vec<Result<PredictionInterval, CardEstError>> {
-        let delta = self.delta();
-        self.model
-            .predict_batch(queries)
-            .into_iter()
-            .map(|y_hat| {
-                if !y_hat.is_finite() {
-                    return Err(CardEstError::NonFiniteScore {
-                        value: y_hat,
-                        context: "model prediction",
-                    });
-                }
-                let (lo, hi) = self.score.interval(y_hat, delta);
-                Ok(PredictionInterval::new(lo, hi))
-            })
-            .collect()
+        intervals_at(&self.model, &self.score, queries, self.delta())
     }
 
     /// Batched [`WindowedConformal::interval`] (infallible form).
     pub fn interval_batch(&self, queries: &[Vec<f32>]) -> Vec<PredictionInterval> {
-        let delta = self.delta();
-        self.model
-            .predict_batch(queries)
-            .into_iter()
-            .map(|y_hat| {
-                let (lo, hi) = self.score.interval(y_hat, delta);
-                PredictionInterval::new(lo, hi)
-            })
-            .collect()
+        unbounded_on_error(self.try_interval_batch(queries))
     }
 
     /// Observes an executed query, evicting the oldest score when full.
-    /// A non-finite score is recorded as `+∞` (and evicted like any other).
-    ///
-    /// An eviction whose score cannot be located even within epsilon (a
-    /// float perturbed behind the predictor's back) is dropped and counted
-    /// under the `windowed.evict_miss` telemetry counter rather than
-    /// aborting the serve loop.
+    /// A non-finite score is recorded as `+∞` (and evicted like any other);
+    /// an eviction miss is dropped and counted, never a panic.
     pub fn observe(&mut self, features: &[f32], y_true: f64) {
-        let s = self.score.score(y_true, self.model.predict(features));
-        self.recency.push_back(s);
-        self.scores.insert(s);
-        if self.recency.len() > self.window {
-            let old = self.recency.pop_front().expect("non-empty window");
-            if self.scores.remove(old).is_err() {
-                ce_telemetry::counter("windowed.evict_miss").inc();
-            }
-        }
+        self.scores.push(self.score.score(y_true, self.model.predict(features)));
     }
 
     /// The window's scores in arrival order, oldest first (raw values —
     /// non-finite scores appear as observed).
     pub fn recency_scores(&self) -> impl Iterator<Item = f64> + '_ {
-        self.recency.iter().copied()
+        self.scores.recency()
     }
 
     /// Atomically replaces the window contents with `scores` in arrival
     /// order, keeping only the most recent `window` of them.
     pub fn replace_scores(&mut self, scores: &[f64]) {
-        self.recency.clear();
-        self.scores = SortedScores::default();
-        let start = scores.len().saturating_sub(self.window);
-        for &s in &scores[start..] {
-            self.recency.push_back(s);
-            self.scores.insert(s);
-        }
+        self.scores.replace(scores);
     }
 }
 
@@ -476,9 +444,7 @@ mod tests {
         wc.observe(&[0.0], 1.0);
         wc.observe(&[0.0], 2.0);
         // Sabotage the multiset so the upcoming eviction of score 1.0 misses.
-        wc.scores = SortedScores::default();
-        wc.scores.insert(10.0);
-        wc.scores.insert(20.0);
+        wc.scores.sorted = [10.0, 20.0].into_iter().collect();
         wc.observe(&[0.0], 3.0); // evicts 1.0 -> not present -> dropped
         assert_eq!(wc.len(), 2, "recency window stays bounded");
     }
@@ -648,5 +614,6 @@ mod tests {
             oc.try_interval(&[0.0]),
             Err(CardEstError::NonFiniteScore { .. })
         ));
+        assert_eq!(oc.interval(&[0.0]), PredictionInterval::UNBOUNDED);
     }
 }

@@ -120,7 +120,7 @@ impl<M: Regressor + Sync + Send, S: ScoreFunction + Sync + Send> PiEstimator for
     }
 }
 
-impl<M: Regressor + Clone + Sync + Send, S: ScoreFunction + Clone + Sync + Send> PiEstimator for PiService<M, S> {
+impl<M: Regressor + Sync + Send, S: ScoreFunction + Sync + Send> PiEstimator for PiService<M, S> {
     fn name(&self) -> &str {
         "pi-service"
     }
@@ -141,7 +141,7 @@ impl<M: Regressor + Clone + Sync + Send, S: ScoreFunction + Clone + Sync + Send>
     }
 }
 
-impl<M: Regressor + Clone + Sync + Send, S: ScoreFunction + Clone + Sync + Send> PiEstimator
+impl<M: Regressor + Sync + Send, S: ScoreFunction + Sync + Send> PiEstimator
     for SelfHealingService<M, S>
 {
     /// Checkpointed breaker snapshots are matched by this name.

@@ -7,6 +7,10 @@
 //! be invertible: given the calibrated threshold δ, the prediction interval
 //! is `{ y : s(y, ŷ) ≤ δ }`.
 
+use crate::error::CardEstError;
+use crate::interval::PredictionInterval;
+use crate::regressor::Regressor;
+
 /// A conformal scoring function together with its interval inversion.
 pub trait ScoreFunction {
     /// Conformal score of truth `y` against estimate `y_hat`; lower = better.
@@ -15,6 +19,44 @@ pub trait ScoreFunction {
     /// The set `{ y : score(y, y_hat) <= delta }` as a closed interval
     /// `(lo, hi)`; `hi` may be `+∞` (clip downstream).
     fn interval(&self, y_hat: f64, delta: f64) -> (f64, f64);
+}
+
+/// The conformal interval `{ y : score(y, ŷ) ≤ δ }` around the prediction
+/// `y_hat` under threshold `delta` — the one place a conformal predictor
+/// turns a prediction into an interval. A non-finite prediction is reported
+/// as [`CardEstError::NonFiniteScore`] instead of a garbage interval.
+pub(crate) fn interval_at<S: ScoreFunction>(
+    score: &S,
+    y_hat: f64,
+    delta: f64,
+) -> Result<PredictionInterval, CardEstError> {
+    if !y_hat.is_finite() {
+        return Err(CardEstError::NonFiniteScore { value: y_hat, context: "model prediction" });
+    }
+    let (lo, hi) = score.interval(y_hat, delta);
+    Ok(PredictionInterval::new(lo, hi))
+}
+
+/// [`interval_at`] for a whole batch under one threshold: one
+/// [`Regressor::predict_batch`] call (models with a real batch path amortize
+/// their forward pass). Output `i` equals the single-query result for
+/// `queries[i]` exactly — the batch predict is row-identical by the
+/// regressor contract.
+pub(crate) fn intervals_at<M: Regressor, S: ScoreFunction>(
+    model: &M,
+    score: &S,
+    queries: &[Vec<f32>],
+    delta: f64,
+) -> Vec<Result<PredictionInterval, CardEstError>> {
+    model.predict_batch(queries).into_iter().map(|y_hat| interval_at(score, y_hat, delta)).collect()
+}
+
+/// The infallible form of a batch: a non-finite prediction gets the
+/// conservative [`PredictionInterval::UNBOUNDED`].
+pub(crate) fn unbounded_on_error(
+    results: Vec<Result<PredictionInterval, CardEstError>>,
+) -> Vec<PredictionInterval> {
+    results.into_iter().map(|r| r.unwrap_or(PredictionInterval::UNBOUNDED)).collect()
 }
 
 /// Absolute residual `|y - ŷ|` — the paper's default (Algorithm 2).

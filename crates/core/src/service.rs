@@ -12,9 +12,9 @@ use crate::error::{check_alpha, check_lengths, CardEstError};
 use crate::exchangeability::{ExchangeabilityMartingale, MartingaleSnapshot};
 use crate::interval::PredictionInterval;
 use crate::monitor::{CoverageDrift, CoverageMonitor, CoverageMonitorConfig};
-use crate::online::{OnlineConformal, WindowedConformal};
+use crate::online::{SortedScores, WindowScores};
 use crate::regressor::Regressor;
-use crate::score::ScoreFunction;
+use crate::score::{interval_at, intervals_at, unbounded_on_error, ScoreFunction};
 
 /// Serving mode of the [`PiService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,12 +53,19 @@ impl Default for PiServiceConfig {
 }
 
 /// A self-maintaining PI server around one black-box model.
+///
+/// The model and score function are held once; the two calibration sets
+/// are plain score multisets. An observation runs the model once and feeds
+/// the same score to both sets, the drift martingale and (through
+/// `observe_scored`) the healing layer.
 #[derive(Debug, Clone)]
 pub struct PiService<M, S> {
     model: M,
     score: S,
-    online: OnlineConformal<M, S>,
-    window: WindowedConformal<M, S>,
+    /// Every score ever observed: the Stable-mode calibration set.
+    online: SortedScores,
+    /// The most recent `config.window` scores: the Drifted-mode set.
+    window: WindowScores,
     monitor: ExchangeabilityMartingale,
     config: PiServiceConfig,
     mode: ServiceMode,
@@ -70,12 +77,13 @@ pub struct PiService<M, S> {
     coverage: CoverageMonitor,
 }
 
-impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
+impl<M: Regressor, S: ScoreFunction> PiService<M, S> {
     /// Builds the service from an initial calibration set.
     ///
     /// # Panics
-    /// Panics on mismatched calibration lengths, `alpha` outside `(0, 1)`,
-    /// a zero window, or a shift threshold ≤ 1.
+    /// Panics on any configuration the non-panicking [`PiService::try_new`]
+    /// rejects: mismatched calibration lengths, `alpha` outside `(0, 1)`, a
+    /// zero window, or a shift threshold ≤ 1.
     pub fn new(
         model: M,
         score: S,
@@ -83,38 +91,8 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
         calib_y: &[f64],
         config: PiServiceConfig,
     ) -> Self {
-        assert!(config.shift_threshold > 1.0, "shift threshold must exceed 1");
-        let online = OnlineConformal::new(
-            model.clone(),
-            score.clone(),
-            calib_x,
-            calib_y,
-            config.alpha,
-        );
-        let window = WindowedConformal::new(
-            model.clone(),
-            score.clone(),
-            config.window,
-            config.alpha,
-        );
-        let coverage = CoverageMonitor::new(CoverageMonitorConfig {
-            alpha: config.alpha,
-            window: config.window,
-            min_samples: (config.window / 4).max(30),
-            ..Default::default()
-        });
-        PiService {
-            model,
-            score,
-            online,
-            window,
-            monitor: ExchangeabilityMartingale::new(),
-            config,
-            mode: ServiceMode::Stable,
-            since_switch: 0,
-            shifts_detected: 0,
-            coverage,
-        }
+        Self::try_new(model, score, calib_x, calib_y, config)
+            .expect("invalid PiService configuration")
     }
 
     /// Non-panicking [`PiService::new`]: configuration and calibration-shape
@@ -135,7 +113,24 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
         if config.shift_threshold <= 1.0 {
             return Err(CardEstError::InvalidParameter("shift threshold must exceed 1"));
         }
-        Ok(PiService::new(model, score, calib_x, calib_y, config))
+        let coverage = CoverageMonitor::new(CoverageMonitorConfig {
+            alpha: config.alpha,
+            window: config.window,
+            min_samples: (config.window / 4).max(30),
+            ..Default::default()
+        });
+        Ok(PiService {
+            online: SortedScores::calibrate(&model, &score, calib_x, calib_y),
+            window: WindowScores::new(config.window),
+            model,
+            score,
+            monitor: ExchangeabilityMartingale::new(),
+            config,
+            mode: ServiceMode::Stable,
+            since_switch: 0,
+            shifts_detected: 0,
+            coverage,
+        })
     }
 
     /// Current serving mode.
@@ -150,39 +145,27 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
 
     /// The model's point estimate.
     pub fn predict(&self, features: &[f32]) -> f64 {
-        self.online.predict(features)
+        self.model.predict(features)
     }
 
     /// Serves an interval under the current mode. While the window is still
     /// filling after a shift, its (conservative, possibly infinite)
-    /// threshold applies — clip downstream.
+    /// threshold applies — clip downstream. A non-finite model prediction
+    /// serves the conservative `(-∞, +∞)`.
     pub fn interval(&self, features: &[f32]) -> PredictionInterval {
         let _span = ce_telemetry::Span::enter("pi_interval");
-        self.interval_inner(features)
-    }
-
-    /// The uninstrumented serving path, shared by [`PiService::interval`] and
-    /// the batch path (which carries batch-level telemetry instead, so
-    /// per-query spans never land inside the parallel loop).
-    fn interval_inner(&self, features: &[f32]) -> PredictionInterval {
-        match self.mode {
-            ServiceMode::Stable => self.online.interval(features),
-            ServiceMode::Drifted => self.window.interval(features),
-        }
+        self.try_interval(features).unwrap_or(PredictionInterval::UNBOUNDED)
     }
 
     /// Like [`PiService::interval`], but a non-finite model prediction is
     /// reported as [`CardEstError::NonFiniteScore`].
     pub fn try_interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
-        match self.mode {
-            ServiceMode::Stable => self.online.try_interval(features),
-            ServiceMode::Drifted => self.window.try_interval(features),
-        }
+        interval_at(&self.score, self.model.predict(features), self.serving_delta())
     }
 
-    /// Serves a whole batch of queries under the *current* mode with one
-    /// batched calibrator call — a single [`Regressor::predict_batch`]
-    /// forward pass plus one threshold read for the whole batch.
+    /// Serves a whole batch of queries under the *current* mode — a single
+    /// [`Regressor::predict_batch`] forward pass plus one threshold read for
+    /// the whole batch.
     ///
     /// The serving mode and thresholds are snapshotted for the batch (the
     /// method takes `&self`, and feedback arrives separately via
@@ -190,19 +173,8 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
     /// `self.interval(&queries[i])` — the batch forward is row-identical by
     /// the regressor contract, and any internal parallelism keeps the
     /// bit-identical-at-any-thread-count guarantee.
-    pub fn predict_interval_batch(&self, queries: &[Vec<f32>]) -> Vec<PredictionInterval>
-    where
-        M: Sync,
-        S: Sync,
-    {
-        let _span = ce_telemetry::Span::enter("pi_batch");
-        if ce_telemetry::enabled() {
-            ce_telemetry::histogram("pi.batch_size").record(queries.len() as u64);
-        }
-        match self.mode {
-            ServiceMode::Stable => self.online.interval_batch(queries),
-            ServiceMode::Drifted => self.window.interval_batch(queries),
-        }
+    pub fn predict_interval_batch(&self, queries: &[Vec<f32>]) -> Vec<PredictionInterval> {
+        unbounded_on_error(self.try_interval_batch(queries))
     }
 
     /// Batched [`PiService::try_interval`]: the fallible form of
@@ -216,34 +188,40 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
         if ce_telemetry::enabled() {
             ce_telemetry::histogram("pi.batch_size").record(queries.len() as u64);
         }
-        match self.mode {
-            ServiceMode::Stable => self.online.try_interval_batch(queries),
-            ServiceMode::Drifted => self.window.try_interval_batch(queries),
-        }
+        intervals_at(&self.model, &self.score, queries, self.serving_delta())
     }
 
-    /// Feeds back an executed query's truth: updates both calibrators and
+    /// Feeds back an executed query's truth: updates both score sets and
     /// the drift monitor, switching modes as needed.
     ///
     /// A non-finite score (corrupt prediction or label) still reaches both
-    /// calibrators — they record it as a conservative `+∞` — but is kept out
+    /// score sets — they record it as a conservative `+∞` — but is kept out
     /// of the drift monitor, whose betting martingale is only defined over
     /// finite scores.
     pub fn observe(&mut self, features: &[f32], y_true: f64) {
+        self.observe_scored(features, y_true);
+    }
+
+    /// [`PiService::observe`], returning the truth's conformal score. The
+    /// model runs once: the served interval, both score sets, the
+    /// martingale and the returned score all derive from the same
+    /// prediction.
+    pub(crate) fn observe_scored(&mut self, features: &[f32], y_true: f64) -> f64 {
         let _span = ce_telemetry::Span::enter("pi_observe");
-        // Score the served interval against the truth *before* the
-        // calibrators absorb it — this is the monitor's honest view of what
-        // the service actually answered for this query.
-        let served = self.interval_inner(features);
+        let y_hat = self.model.predict(features);
+        // Score the served interval against the truth *before* the score
+        // sets absorb it — this is the monitor's honest view of what the
+        // service actually answered for this query.
+        let served = interval_at(&self.score, y_hat, self.serving_delta())
+            .unwrap_or(PredictionInterval::UNBOUNDED);
         self.coverage.observe_interval(&served, y_true);
-        let score = self.score.score(y_true, self.model.predict(features));
-        self.online.observe(features, y_true);
-        self.window.observe(features, y_true);
+        let score = self.score.score(y_true, y_hat);
+        self.online.insert(score);
+        self.window.push(score);
         if score.is_finite() {
             self.monitor.observe(score);
         }
         self.since_switch += 1;
-
         match self.mode {
             ServiceMode::Stable => {
                 let martingale_trip =
@@ -266,24 +244,21 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
                     }
                 }
             }
+            ServiceMode::Drifted if self.since_switch < self.config.window => {}
+            ServiceMode::Drifted if self.monitor.detects_shift_at(self.config.shift_threshold) => {
+                // Still shifting: restart the quarantine clock.
+                self.shifts_detected += 1;
+                self.monitor = ExchangeabilityMartingale::new();
+                self.since_switch = 0;
+            }
             ServiceMode::Drifted => {
-                if self.since_switch < self.config.window {
-                    return;
-                }
-                if self.monitor.detects_shift_at(self.config.shift_threshold) {
-                    // Still shifting: restart the quarantine clock.
-                    self.shifts_detected += 1;
-                    self.monitor = ExchangeabilityMartingale::new();
-                    self.since_switch = 0;
-                    return;
-                }
                 // Return to the full-history calibration only once it has
                 // actually absorbed the new regime: the monitor stayed quiet
                 // for a full window AND the global threshold agrees with the
                 // recent-window one. Until then the online set is a mixture
                 // dominated by the old regime and would under-cover.
-                let d_online = self.online.delta();
-                let d_window = self.window.delta();
+                let d_online = self.online.conformal_quantile(self.config.alpha);
+                let d_window = self.window.conformal_quantile(self.config.alpha);
                 let agree = d_online.is_finite()
                     && d_window.is_finite()
                     && (d_online - d_window).abs()
@@ -300,11 +275,12 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
                 }
             }
         }
+        score
     }
 
     /// Total calibration scores absorbed.
     pub fn calibration_size(&self) -> usize {
-        self.online.calibration_size()
+        self.online.len()
     }
 
     /// The rolling coverage/width health monitor fed by
@@ -322,20 +298,20 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
     /// The threshold δ the *current mode* would serve with.
     pub fn serving_delta(&self) -> f64 {
         match self.mode {
-            ServiceMode::Stable => self.online.delta(),
-            ServiceMode::Drifted => self.window.delta(),
+            ServiceMode::Stable => self.online.conformal_quantile(self.config.alpha),
+            ServiceMode::Drifted => self.window.conformal_quantile(self.config.alpha),
         }
     }
 
-    /// Atomically promotes a validated recalibration: both calibrators adopt
-    /// `scores` as their entire score set, the drift detector restarts, the
+    /// Atomically promotes a validated recalibration: both score sets adopt
+    /// `scores` as their entire contents, the drift detector restarts, the
     /// coverage window (and any latched alarm) clears, and serving returns to
     /// [`ServiceMode::Stable`]. This is the commit point of the self-healing
     /// state machine — between the first and last field update no query can
     /// observe a mixed state because the method holds `&mut self`.
     pub fn promote_calibration(&mut self, scores: &[f64]) {
-        self.online.replace_scores(scores);
-        self.window.replace_scores(scores);
+        self.online = scores.iter().copied().collect();
+        self.window.replace(scores);
         self.monitor = ExchangeabilityMartingale::new();
         self.coverage.reset_window();
         self.mode = ServiceMode::Stable;
@@ -349,11 +325,12 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
     pub(crate) fn export_state(&self) -> PiServiceState {
         let (monitor_alarm, monitor_alarms_raised, monitor_observed_total) =
             self.coverage.alarm_state();
+        let (online_scores, online_nonfinite) = self.online.to_parts();
         PiServiceState {
             config: self.config,
-            online_scores: self.online.calibration_scores().to_vec(),
-            online_nonfinite: self.online.nonfinite_count(),
-            window_scores: self.window.recency_scores().collect(),
+            online_scores,
+            online_nonfinite,
+            window_scores: self.window.recency().collect(),
             martingale: self.monitor.snapshot(),
             mode: self.mode,
             since_switch: self.since_switch,
@@ -365,7 +342,7 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
         }
     }
 
-    /// Rebuilds a service from checkpointed state around fresh copies of the
+    /// Rebuilds a service from checkpointed state around the
     /// (unserializable) model and score function.
     pub(crate) fn from_state(
         model: M,
@@ -376,8 +353,8 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
         if state.window_scores.len() > state.config.window {
             return Err(CardEstError::CheckpointCorrupt("window scores overflow the config"));
         }
-        svc.online.restore_sorted(state.online_scores, state.online_nonfinite);
-        svc.window.replace_scores(&state.window_scores);
+        svc.online = SortedScores::from_sorted(state.online_scores, state.online_nonfinite);
+        svc.window.replace(&state.window_scores);
         svc.monitor = ExchangeabilityMartingale::restore_snapshot(state.martingale);
         svc.mode = state.mode;
         svc.since_switch = state.since_switch;
@@ -436,19 +413,18 @@ mod tests {
         (x, y)
     }
 
-    fn service(seed: u64) -> (PiService<impl Regressor + Clone, AbsoluteResidual>, StdRng) {
+    fn service(seed: u64) -> (PiService<impl Regressor, AbsoluteResidual>, StdRng) {
+        service_with(seed, PiServiceConfig { window: 150, ..Default::default() })
+    }
+
+    /// A service calibrated on 300 calm points, and the rest of its stream.
+    fn service_with(
+        seed: u64,
+        config: PiServiceConfig,
+    ) -> (PiService<impl Regressor, AbsoluteResidual>, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = |f: &[f32]| f[0] as f64;
-        let (cx, cy): (Vec<Vec<f32>>, Vec<f64>) =
-            (0..300).map(|_| calm_point(&mut rng)).unzip();
-        let svc = PiService::new(
-            model,
-            AbsoluteResidual,
-            &cx,
-            &cy,
-            PiServiceConfig { window: 150, ..Default::default() },
-        );
-        (svc, rng)
+        let (cx, cy): (Vec<Vec<f32>>, Vec<f64>) = (0..300).map(|_| calm_point(&mut rng)).unzip();
+        (PiService::new(|f: &[f32]| f[0] as f64, AbsoluteResidual, &cx, &cy, config), rng)
     }
 
     #[test]
@@ -573,24 +549,16 @@ mod tests {
     fn martingale_pinned_service(
         seed: u64,
         couple: bool,
-    ) -> (PiService<impl Regressor + Clone, AbsoluteResidual>, StdRng) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let model = |f: &[f32]| f[0] as f64;
-        let (cx, cy): (Vec<Vec<f32>>, Vec<f64>) =
-            (0..300).map(|_| calm_point(&mut rng)).unzip();
-        let svc = PiService::new(
-            model,
-            AbsoluteResidual,
-            &cx,
-            &cy,
+    ) -> (PiService<impl Regressor, AbsoluteResidual>, StdRng) {
+        service_with(
+            seed,
             PiServiceConfig {
                 window: 150,
                 shift_threshold: 1e300,
                 couple_coverage_alarm: couple,
                 ..Default::default()
             },
-        );
-        (svc, rng)
+        )
     }
 
     #[test]
@@ -645,49 +613,69 @@ mod tests {
         assert_eq!(svc.shifts_detected(), 0);
     }
 
+    /// The standalone calibrators are the reference implementation: fed the
+    /// same calm → shifted → calm stream, the service serves, bit for bit,
+    /// what the calibrator of its current mode serves.
+    #[test]
+    fn serves_exactly_what_the_reference_calibrators_serve() {
+        use crate::online::{OnlineConformal, WindowedConformal};
+        let mut rng = StdRng::seed_from_u64(11);
+        let model = |f: &[f32]| f[0] as f64;
+        let (cx, cy): (Vec<Vec<f32>>, Vec<f64>) =
+            (0..300).map(|_| calm_point(&mut rng)).unzip();
+        let (alpha, window) = (0.1, 150);
+        let config = PiServiceConfig { alpha, window, ..Default::default() };
+        let mut svc = PiService::new(model, AbsoluteResidual, &cx, &cy, config);
+        let mut online = OnlineConformal::new(model, AbsoluteResidual, &cx, &cy, alpha);
+        let mut window = WindowedConformal::new(model, AbsoluteResidual, window, alpha);
+        let bits = |iv: PredictionInterval| (iv.lo.to_bits(), iv.hi.to_bits());
+        let mut switches = Vec::new();
+        for i in 0..2000 {
+            let (x, y) = if (300..400).contains(&i) {
+                shifted_point(&mut rng)
+            } else {
+                calm_point(&mut rng)
+            };
+            let (reference, delta) = match svc.mode() {
+                ServiceMode::Stable => (online.interval(&x), online.delta()),
+                ServiceMode::Drifted => (window.interval(&x), window.delta()),
+            };
+            assert_eq!(svc.serving_delta().to_bits(), delta.to_bits(), "delta at {i}");
+            assert_eq!(bits(svc.interval(&x)), bits(reference), "interval at {i}");
+            let batch = svc.predict_interval_batch(std::slice::from_ref(&x));
+            assert_eq!(bits(batch[0]), bits(reference), "batch interval at {i}");
+            let before = svc.mode();
+            svc.observe(&x, y);
+            online.observe(&x, y);
+            window.observe(&x, y);
+            if svc.mode() != before {
+                switches.push(svc.mode());
+            }
+        }
+        assert_eq!(svc.calibration_size(), online.calibration_size());
+        // Both directions: into Drifted at the shift, back to Stable after.
+        assert!(switches.contains(&ServiceMode::Drifted), "{switches:?}");
+        assert!(switches.contains(&ServiceMode::Stable), "{switches:?}");
+    }
+
     #[test]
     fn try_new_reports_config_errors() {
         use crate::error::CardEstError;
-        let model = |_: &[f32]| 0.0;
-        assert!(PiService::try_new(
-            model,
-            AbsoluteResidual,
-            &[],
-            &[],
-            PiServiceConfig::default(),
-        )
-        .is_ok());
+        let error = |config: PiServiceConfig| {
+            PiService::try_new(|_: &[f32]| 0.0, AbsoluteResidual, &[], &[], config).err()
+        };
+        assert_eq!(error(PiServiceConfig::default()), None);
         assert_eq!(
-            PiService::try_new(
-                model,
-                AbsoluteResidual,
-                &[],
-                &[],
-                PiServiceConfig { shift_threshold: 1.0, ..Default::default() },
-            )
-            .err(),
+            error(PiServiceConfig { shift_threshold: 1.0, ..Default::default() }),
             Some(CardEstError::InvalidParameter("shift threshold must exceed 1"))
         );
         assert_eq!(
-            PiService::try_new(
-                model,
-                AbsoluteResidual,
-                &[],
-                &[],
-                PiServiceConfig { window: 0, ..Default::default() },
-            )
-            .err(),
+            error(PiServiceConfig { window: 0, ..Default::default() }),
             Some(CardEstError::InvalidParameter("window must be positive"))
         );
         assert!(matches!(
-            PiService::try_new(
-                model,
-                AbsoluteResidual,
-                &[],
-                &[],
-                PiServiceConfig { alpha: -0.1, ..Default::default() },
-            ),
-            Err(CardEstError::InvalidAlpha(_))
+            error(PiServiceConfig { alpha: -0.1, ..Default::default() }),
+            Some(CardEstError::InvalidAlpha(_))
         ));
     }
 

@@ -4,7 +4,7 @@ use crate::error::{check_alpha, check_lengths, CardEstError};
 use crate::interval::PredictionInterval;
 use crate::quantile::{conformal_quantile, try_conformal_quantile};
 use crate::regressor::Regressor;
-use crate::score::ScoreFunction;
+use crate::score::{interval_at, ScoreFunction};
 
 /// Split conformal prediction: calibrate one threshold δ on a held-out set,
 /// then every interval is the score inversion at δ around the model estimate.
@@ -90,25 +90,16 @@ impl<M: Regressor, S: ScoreFunction> SplitConformal<M, S> {
         self.model.predict(features)
     }
 
-    /// The prediction interval for one query.
+    /// The prediction interval for one query; a non-finite model
+    /// prediction gets the conservative `(-∞, +∞)`.
     pub fn interval(&self, features: &[f32]) -> PredictionInterval {
-        let y_hat = self.model.predict(features);
-        let (lo, hi) = self.score.interval(y_hat, self.delta);
-        PredictionInterval::new(lo, hi)
+        self.try_interval(features).unwrap_or(PredictionInterval::UNBOUNDED)
     }
 
     /// Like [`SplitConformal::interval`], but a non-finite model prediction
     /// is reported as [`CardEstError::NonFiniteScore`].
     pub fn try_interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
-        let y_hat = self.model.predict(features);
-        if !y_hat.is_finite() {
-            return Err(CardEstError::NonFiniteScore {
-                value: y_hat,
-                context: "model prediction",
-            });
-        }
-        let (lo, hi) = self.score.interval(y_hat, self.delta);
-        Ok(PredictionInterval::new(lo, hi))
+        interval_at(&self.score, self.model.predict(features), self.delta)
     }
 }
 

@@ -178,10 +178,19 @@ where
     /// rollback, the serving threshold itself) mutates inside, and the
     /// serving mode is published before the window closes.
     pub fn observe(&self, features: &[f32], y_true: f64) {
+        self.observe_window(std::iter::once((features, y_true)));
+    }
+
+    /// One observation window: the epoch goes odd, every truth is fed under
+    /// a single chain-lock acquisition, the mode is published, and the
+    /// epoch goes even again.
+    fn observe_window<'a>(&self, truths: impl IntoIterator<Item = (&'a [f32], f64)>) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         {
             let mut chain = self.chain();
-            chain.observe(features, y_true);
+            for (features, y_true) in truths {
+                chain.observe(features, y_true);
+            }
             let drifted = chain.primary().service().mode() == ServiceMode::Drifted;
             self.drifted.store(drifted, Ordering::SeqCst);
         }
@@ -195,7 +204,8 @@ where
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Feeds a whole batch of truths, atomically claiming `truth_id` first
+    /// Feeds a whole batch of truths in one observation window (one chain
+    /// lock, one odd/even epoch pair), atomically claiming `truth_id` first
     /// when one is present. Returns `false` — and observes *nothing* — when
     /// the ID was already seen: the batch is a replica-fan-out or hedge
     /// replay of an observation this shard has absorbed. The claim happens
@@ -209,9 +219,7 @@ where
                 return false;
             }
         }
-        for (x, y) in features.iter().zip(truths) {
-            self.observe(x, *y);
-        }
+        self.observe_window(features.iter().map(Vec::as_slice).zip(truths.iter().copied()));
         true
     }
 
@@ -634,6 +642,39 @@ mod tests {
         assert_eq!(parse_truth_id("00000000000000ff0"), None, "too long");
         assert_eq!(parse_truth_id("00000000000000fg"), None, "non-hex");
         assert_eq!(parse_truth_id(""), None);
+    }
+
+    /// One truth costs the primary one forward pass, through the healing
+    /// layer alone and through the engine, and a truth batch is one
+    /// observation window: the epoch advances by exactly two.
+    #[test]
+    fn observe_runs_the_primary_once_per_truth() {
+        use crate::conformal::{AbsoluteResidual, OnlineConformal, PiServiceConfig};
+        use std::sync::atomic::AtomicUsize;
+        let model = |f: &[f32]| f[0] as f64;
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let primary = move |f: &[f32]| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            model(f)
+        };
+        let xs: Vec<Vec<f32>> = (0..16).map(|i| vec![i as f32 / 16.0]).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| model(x) + 0.01).collect();
+        let (config, heal) = (PiServiceConfig::default(), HealConfig::default());
+        let mut healing =
+            SelfHealingService::new(primary, AbsoluteResidual, &xs, &ys, config, heal);
+        calls.store(0, Ordering::Relaxed);
+        healing.observe(&[0.5], 0.52);
+        assert_eq!(calls.swap(0, Ordering::Relaxed), 1, "SelfHealingService::observe");
+        let fallback = OnlineConformal::new(model, AbsoluteResidual, &xs, &ys, 0.1);
+        let engine = ServeEngine::new(healing, vec![Box::new(fallback)], 1);
+        engine.observe(&[0.5], 0.52);
+        assert_eq!(calls.swap(0, Ordering::Relaxed), 1, "ServeEngine::observe");
+        assert_eq!(engine.serving_epoch(), 2);
+        assert!(engine.observe_all(&xs[..3], &ys[..3], None));
+        assert_eq!(calls.load(Ordering::Relaxed), 3, "ServeEngine::observe_all");
+        assert_eq!(engine.serving_epoch(), 4, "one window for the whole batch");
+        assert_eq!(engine.observations(), 5);
     }
 
     #[test]
