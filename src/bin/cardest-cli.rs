@@ -737,7 +737,7 @@ fn run_serve_http<M>(
             ]
         })
     };
-    let engine = std::sync::Arc::new(ServeEngine::new(svc, make_fallbacks(), dims));
+    let engine = ServeEngine::new(svc, make_fallbacks(), dims);
     if !saved_breakers.is_empty() {
         match engine.restore_breakers(&saved_breakers) {
             Ok(()) => eprintln!("restored {} breaker snapshots", saved_breakers.len()),
@@ -783,13 +783,10 @@ fn run_serve_http<M>(
         eprintln!("interval cache: {} entries (epoch-keyed)", opts.cache_cap);
     }
     let registry = std::sync::Arc::new(registry);
-    // Checkpointing goes through the registry entries, not the construction
-    // Arcs: after a hot reload the entry points at the new engine, and that
-    // is the state worth persisting.
-    let mut entries = vec![(
-        opts.checkpoint.clone(),
-        registry.register_shared(DEFAULT_MODEL, std::sync::Arc::clone(&engine)),
-    )];
+    // A hot reload replaces a registered engine's chain in place, so the
+    // engines kept here checkpoint the post-reload state.
+    let default = registry.register(DEFAULT_MODEL, engine).engine();
+    let mut engines = vec![(opts.checkpoint.clone(), default)];
     let fresh_model = |m: M| {
         SelfHealingService::new(
             m,
@@ -846,7 +843,7 @@ fn run_serve_http<M>(
                 eprintln!("model {name}: breaker snapshots not restored ({e})");
             }
         }
-        entries.push((path, registry.register(name, engine_m)));
+        engines.push((path, registry.register(name, engine_m).engine()));
     }
     let handle = match start_registry_server(std::sync::Arc::clone(&registry), listen, http_config)
     {
@@ -872,23 +869,21 @@ fn run_serve_http<M>(
         opts.trace_sample,
     );
 
-    let mut last_obs: Vec<u64> =
-        entries.iter().map(|(_, entry)| entry.engine().observations()).collect();
+    let mut last_obs: Vec<u64> = engines.iter().map(|(_, e)| e.observations()).collect();
     while !SHUTDOWN.load(Ordering::SeqCst) {
         std::thread::sleep(std::time::Duration::from_millis(200));
-        for ((path, entry), last) in entries.iter().zip(last_obs.iter_mut()) {
-            let current = entry.engine();
-            let obs = current.observations();
+        for ((path, engine), last) in engines.iter().zip(last_obs.iter_mut()) {
+            let obs = engine.observations();
             if obs >= *last + opts.every as u64 {
-                write_engine_checkpoint(&current, path, "periodic");
+                write_engine_checkpoint(engine, path, "periodic");
                 *last = obs;
             }
         }
     }
     eprintln!("shutdown signal received; draining ...");
     handle.drain();
-    for (path, entry) in &entries {
-        write_engine_checkpoint(&entry.engine(), path, "final");
+    for (path, engine) in &engines {
+        write_engine_checkpoint(engine, path, "final");
     }
     let server = handle.server_stats();
     let batcher = handle.batcher_stats();

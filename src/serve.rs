@@ -53,7 +53,7 @@ use std::time::Duration;
 
 use crate::conformal::{
     BreakerSnapshot, BreakerState, CardEstError, Checkpoint, HealConfig, HealState,
-    PiEstimator, PredictionInterval, Regressor, ResilienceStats, ResilientService,
+    PiEstimator, PredictionInterval, Regressor, ResilientService,
     ScoreFunction, SelfHealingService, ServiceMode,
 };
 use ce_server::{BatcherStats, HttpServer, Response, ServerStats};
@@ -67,23 +67,25 @@ use ce_telemetry::trace;
 /// would buy nothing; the response path's [`ServeEngine::mode`] read is
 /// kept off the lock by publishing the mode at every observation.
 pub struct ServeEngine<M, S> {
-    chain: Mutex<ResilientService<SelfHealingService<M, S>>>,
+    chain: Mutex<Chain<M, S>>,
     truth_dedupe: Mutex<TruthDedupe>,
-    /// Serving-state epoch, seqlock-style (DESIGN.md §15): odd while an
-    /// observation window is mutating calibration state, bumped by two for
-    /// every atomic serving-state change (a breaker transition during a
-    /// predict batch, a breaker restore). Two reads of the same *even*
-    /// value bracketing a prediction prove the serving state was quiescent
-    /// in between — the basis of the interval cache's byte-identity
-    /// guarantee. Promotion and rollback both happen inside `observe`, so
-    /// they are covered by the observation window.
+    /// Serving-state epoch, seqlock-style (DESIGN.md §15): odd while a
+    /// serving-state window is open (observations and the promotions or
+    /// rollbacks inside them, breaker restores, hot-reload replacements),
+    /// +2 under the chain lock for a breaker transition in a predict batch.
+    /// Two equal *even* reads bracketing a prediction prove the serving
+    /// state was quiescent in between — the basis of the interval cache's
+    /// byte-identity guarantee.
     epoch: AtomicU64,
     /// Whether the primary serves in [`ServiceMode::Drifted`]. The mode
-    /// only changes inside `observe`, which stores it here under the chain
-    /// lock before its window closes the epoch, so two equal even epochs
-    /// also bracket an unchanged mode.
+    /// only changes inside a serving-state window, which stores it here
+    /// under the chain lock before the epoch goes even again, so two equal
+    /// even epochs also bracket an unchanged mode.
     drifted: AtomicBool,
 }
+
+/// The serving chain: the self-healing primary behind breakers and fallbacks.
+type Chain<M, S> = ResilientService<SelfHealingService<M, S>>;
 
 /// Bounded memory of recently seen truth-post IDs (`x-ce-truth-id`). A
 /// replicated truth post and a hedge duplicate both replay an observation
@@ -149,7 +151,7 @@ where
         }
     }
 
-    fn chain(&self) -> MutexGuard<'_, ResilientService<SelfHealingService<M, S>>> {
+    fn chain(&self) -> MutexGuard<'_, Chain<M, S>> {
         self.chain.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -173,28 +175,24 @@ where
     }
 
     /// Feeds one executed query's truth to every chain entry — the primary's
-    /// write routes into the self-healing state machine. The serving epoch
-    /// is odd for the duration: calibration state (and, on promotion or
-    /// rollback, the serving threshold itself) mutates inside, and the
-    /// serving mode is published before the window closes.
+    /// write routes into the self-healing state machine — inside one
+    /// serving-state window (recalibration may promote or roll back).
     pub fn observe(&self, features: &[f32], y_true: f64) {
-        self.observe_window(std::iter::once((features, y_true)));
+        self.window(|chain| chain.observe(features, y_true));
     }
 
-    /// One observation window: the epoch goes odd, every truth is fed under
-    /// a single chain-lock acquisition, the mode is published, and the
-    /// epoch goes even again.
-    fn observe_window<'a>(&self, truths: impl IntoIterator<Item = (&'a [f32], f64)>) {
+    /// The one serving-state window: the epoch goes odd, `mutate` runs
+    /// under a single chain-lock acquisition, the mode is published, and
+    /// the epoch goes even again.
+    fn window<R>(&self, mutate: impl FnOnce(&mut Chain<M, S>) -> R) -> R {
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        {
-            let mut chain = self.chain();
-            for (features, y_true) in truths {
-                chain.observe(features, y_true);
-            }
-            let drifted = chain.primary().service().mode() == ServiceMode::Drifted;
-            self.drifted.store(drifted, Ordering::SeqCst);
-        }
+        let mut chain = self.chain();
+        let result = mutate(&mut chain);
+        let drifted = chain.primary().service().mode() == ServiceMode::Drifted;
+        self.drifted.store(drifted, Ordering::SeqCst);
+        drop(chain);
         self.epoch.fetch_add(1, Ordering::SeqCst);
+        result
     }
 
     /// The serving-state epoch (see the field docs): even means quiescent,
@@ -219,8 +217,17 @@ where
                 return false;
             }
         }
-        self.observe_window(features.iter().map(Vec::as_slice).zip(truths.iter().copied()));
+        self.window(|chain| features.iter().zip(truths).for_each(|(x, &y)| chain.observe(x, y)));
         true
+    }
+
+    /// Hot reload's promotion: moves `next`'s whole chain (calibration,
+    /// breakers, fallbacks) into this engine inside one window. The truth-ID
+    /// memory stays, so a replayed truth post is still recognised after a reload.
+    pub(crate) fn replace(&self, next: ServeEngine<M, S>) {
+        let chain = next.chain.into_inner().unwrap_or_else(|e| e.into_inner());
+        // Returning the old chain drops it after the window, off the lock.
+        self.window(|current| std::mem::replace(current, chain));
     }
 
     /// Serving mode of the wrapped [`crate::conformal::PiService`], as
@@ -253,11 +260,9 @@ where
     /// Restores breaker state from a checkpoint's snapshots (the healing
     /// half is restored by constructing the engine from
     /// [`SelfHealingService::restore`]). Counts as a serving-state change:
-    /// the epoch advances so no cached interval predates the restore.
+    /// it runs inside a window, so no cached interval predates the restore.
     pub fn restore_breakers(&self, snapshots: &[BreakerSnapshot]) -> Result<(), CardEstError> {
-        let result = self.chain().restore_breakers(snapshots);
-        self.epoch.fetch_add(2, Ordering::SeqCst);
-        result
+        self.window(|chain| chain.restore_breakers(snapshots))
     }
 
     /// The healing layer's remediation tuning (the reload validator reuses
@@ -269,12 +274,6 @@ where
     /// The wrapped service's miscoverage target α.
     pub fn alpha(&self) -> f64 {
         self.chain().primary().service().config().alpha
-    }
-
-    /// Resilience counters (copied out; the chain lock is released before
-    /// returning).
-    pub fn resilience_stats(&self) -> ResilienceStats {
-        self.chain().stats().clone()
     }
 
     /// Mirrors chain + heal state into the telemetry registry.
@@ -416,8 +415,8 @@ impl Drop for ServeHandle {
 /// [`crate::tenant::start_registry_server`] for the full multi-tenant
 /// surface.
 ///
-/// The returned handle owns the accept/worker/batcher threads; the caller
-/// keeps its own `Arc` to the engine for checkpointing and shutdown policy.
+/// The returned handle owns the accept/worker/batcher threads; the caller's
+/// `Arc` is the served engine itself, so checkpoints are taken through it.
 pub fn start_server<M, S>(
     engine: Arc<ServeEngine<M, S>>,
     listen: &str,

@@ -15,11 +15,12 @@
 //!   factory, validates it against a held-back replay buffer of recently
 //!   observed truths (coverage ≥ 1−α−ε and bounded width blow-up — the
 //!   same acceptance rule the `SelfHealingService` applies to its own
-//!   recalibration candidates), then atomically swaps it in. A failed
-//!   validation rolls back: the old engine keeps serving, the response is
-//!   `409`, and the `reload.*` counters + flight-recorder events record
-//!   the trail. In-flight requests always finish on the engine they
-//!   started on — a swap drops no requests.
+//!   recalibration candidates), then moves the shadow's chain into the
+//!   live engine in place, which every holder of that engine then serves.
+//!   A failed validation rolls back: the live engine is untouched, the
+//!   response is `409`, and the `reload.*` counters + flight-recorder
+//!   events record the trail. A reload waits for the running batch, so
+//!   it drops no requests.
 //! - **Per-tenant fairness** — admission is token-bucket rate limited per
 //!   `x-ce-tenant` header ([`ce_server::TenantLimiter`]): an exhausted
 //!   bucket sheds with JSON `429` + deterministic `Retry-After`, and the
@@ -27,20 +28,18 @@
 //!   longer hint than its victims. Per-tenant shed counters and
 //!   queue-depth gauges ride `/metrics`.
 //! - **Interval cache** — an LRU keyed by (model, request-signature,
-//!   reload generation, serving epoch) memoizes predict response bodies.
-//!   Truth-carrying requests bypass it (they mutate state). The epoch pair
-//!   is seqlock-style: every serving-state change (any observation,
-//!   promotion/rollback inside one, a breaker transition, a reload)
-//!   advances it, and an entry is only written when two even reads
-//!   bracketing the computation match — so a hit is *byte-identical* to a
-//!   fresh prediction at the same epoch, which the `tenant` experiment
-//!   bit-audits on the wire. Reload additionally invalidates the model's
-//!   entries wholesale.
+//!   serving epoch) memoizes predict response bodies. Truth-carrying
+//!   requests bypass it (they mutate state). The epoch is seqlock-style:
+//!   every serving-state change (any observation, promotion/rollback
+//!   inside one, a breaker transition, a reload) advances it, and an entry
+//!   is only written when two even reads bracketing the computation match
+//!   — so a hit is *byte-identical* to a fresh prediction at the same
+//!   epoch, which the `tenant` experiment bit-audits on the wire. Reload
+//!   additionally invalidates the model's entries wholesale.
 //!
-//! Lock order: the registry's model map read-lock, then a model's engine
-//! slot read-lock, then the engine's one chain mutex. The cache and
-//! limiter use their own leaf mutexes and are never held across an engine
-//! call.
+//! Lock order: the registry's model map read-lock, then the engine's one
+//! chain mutex. The cache, limiter, and replay buffer use their own leaf
+//! mutexes and are never held across an engine call.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -98,7 +97,7 @@ pub struct RegistryTuning {
     /// Held-back replay pairs kept per model for reload validation.
     pub replay_cap: usize,
     /// Minimum replay pairs required to validate a reload candidate; with
-    /// fewer, validation is *skipped* (the swap reports
+    /// fewer, validation is *skipped* (the reload reports
     /// `"validated":false`) — a freshly registered model has nothing to
     /// validate against yet.
     pub min_replay: usize,
@@ -139,14 +138,13 @@ impl RegistryTuning {
 // ---------------------------------------------------------------------------
 
 /// Cache key: one model's request signature at one serving state. The
-/// (reload generation, serving epoch) pair makes stale entries
-/// unreachable rather than deleted — any state change moves the key
-/// space, and LRU pressure reclaims the orphans.
+/// serving epoch makes stale entries unreachable rather than deleted —
+/// any state change moves the key space, and LRU pressure reclaims the
+/// orphans.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     model: String,
     signature: u64,
-    reload_gen: u64,
     epoch: u64,
 }
 
@@ -210,11 +208,11 @@ impl IntervalCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn get(&self, model: &str, signature: u64, reload_gen: u64, epoch: u64) -> Option<Arc<str>> {
+    fn get(&self, model: &str, signature: u64, epoch: u64) -> Option<Arc<str>> {
         if self.cap == 0 {
             return None;
         }
-        let key = CacheKey { model: model.to_string(), signature, reload_gen, epoch };
+        let key = CacheKey { model: model.to_string(), signature, epoch };
         let mut inner = self.lock();
         inner.clock += 1;
         let stamp = inner.clock;
@@ -234,11 +232,11 @@ impl IntervalCache {
         }
     }
 
-    fn insert(&self, model: &str, signature: u64, reload_gen: u64, epoch: u64, body: &str) {
+    fn insert(&self, model: &str, signature: u64, epoch: u64, body: &str) {
         if self.cap == 0 {
             return;
         }
-        let key = CacheKey { model: model.to_string(), signature, reload_gen, epoch };
+        let key = CacheKey { model: model.to_string(), signature, epoch };
         let mut inner = self.lock();
         inner.clock += 1;
         let stamp = inner.clock;
@@ -256,7 +254,7 @@ impl IntervalCache {
         inner.map.insert(key, CacheSlot { stamp, body: Arc::from(body) });
     }
 
-    /// Drops every entry belonging to `model` (any generation or epoch) —
+    /// Drops every entry belonging to `model` (any epoch) —
     /// the wholesale reset on reload. The epoch key already makes stale
     /// entries unreachable; this reclaims their memory immediately.
     fn invalidate_model(&self, model: &str) {
@@ -288,17 +286,13 @@ impl IntervalCache {
 // Model entries and the registry
 // ---------------------------------------------------------------------------
 
-/// One named model: the engine slot (swapped atomically on reload), its
-/// micro-batcher (which outlives reloads — in-flight batches finish on
-/// the engine they resolved), the reload seqlock, and the held-back
-/// replay buffer.
+/// One named model: its engine (for the entry's whole life — a reload
+/// replaces the engine's chain in place), the micro-batcher serving it,
+/// and the held-back replay buffer.
 pub struct ModelEntry<M, S> {
     name: String,
-    slot: Arc<RwLock<Arc<ServeEngine<M, S>>>>,
+    engine: Arc<ServeEngine<M, S>>,
     batcher: Arc<MicroBatcher<Vec<f32>, Result<PredictionInterval, CardEstError>>>,
-    /// Seqlock generation for engine swaps: odd while a swap is in
-    /// progress, +2 per completed reload. Part of every cache key.
-    reload_gen: AtomicU64,
     reloads: AtomicU64,
     reload_rejects: AtomicU64,
     cache_hits: AtomicU64,
@@ -307,52 +301,18 @@ pub struct ModelEntry<M, S> {
     replay_cap: usize,
 }
 
-impl<M, S> ModelEntry<M, S>
-where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
-{
-    fn new(name: &str, engine: Arc<ServeEngine<M, S>>, tuning: &RegistryTuning) -> ModelEntry<M, S> {
-        let slot = Arc::new(RwLock::new(engine));
-        let batcher_slot = Arc::clone(&slot);
-        let batcher = MicroBatcher::new(tuning.batcher, move |items: Vec<Vec<f32>>| {
-            // Resolve the engine per batch and release the slot lock before
-            // inference: a reload swap never waits on a running batch, and
-            // the batch finishes on the engine it started with.
-            let engine =
-                Arc::clone(&*batcher_slot.read().unwrap_or_else(|e| e.into_inner()));
-            engine.predict_batch(&items)
-        });
-        ModelEntry {
-            name: name.to_string(),
-            slot,
-            batcher,
-            reload_gen: AtomicU64::new(0),
-            reloads: AtomicU64::new(0),
-            reload_rejects: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            replay: Mutex::new(VecDeque::new()),
-            replay_cap: tuning.replay_cap,
-        }
-    }
-
+impl<M, S> ModelEntry<M, S> {
     /// The model's name.
     pub fn name(&self) -> &str {
         &self.name
     }
 
-    /// The engine serving this model right now.
+    /// The engine serving this model; a reload replaces its chain in place.
     pub fn engine(&self) -> Arc<ServeEngine<M, S>> {
-        Arc::clone(&*self.slot.read().unwrap_or_else(|e| e.into_inner()))
+        Arc::clone(&self.engine)
     }
 
-    /// The reload seqlock value (even = quiescent).
-    pub fn reload_gen(&self) -> u64 {
-        self.reload_gen.load(Ordering::SeqCst)
-    }
-
-    /// Completed reload swaps.
+    /// Completed (promoted) reloads.
     pub fn reloads(&self) -> u64 {
         self.reloads.load(Ordering::Relaxed)
     }
@@ -360,14 +320,6 @@ where
     /// Reload candidates rejected by shadow validation.
     pub fn reload_rejects(&self) -> u64 {
         self.reload_rejects.load(Ordering::Relaxed)
-    }
-
-    /// Atomically swaps the serving engine (seqlock around the store, so
-    /// cache writers that straddle the swap abandon their insert).
-    fn swap(&self, engine: Arc<ServeEngine<M, S>>) {
-        self.reload_gen.fetch_add(1, Ordering::SeqCst);
-        *self.slot.write().unwrap_or_else(|e| e.into_inner()) = engine;
-        self.reload_gen.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Remembers observed truths for reload validation (bounded FIFO).
@@ -410,7 +362,7 @@ pub enum ReloadError {
 pub struct ReloadReport {
     /// Model name.
     pub model: String,
-    /// Whether the candidate was promoted (swapped in).
+    /// Whether the candidate was promoted (replaced the live state).
     pub promoted: bool,
     /// Whether shadow validation actually ran (enough replay pairs).
     pub validated: bool,
@@ -494,15 +446,29 @@ where
         self.register_shared(name, Arc::new(engine))
     }
 
-    /// Registers (or replaces) a model around a caller-held engine `Arc`
-    /// (the caller keeps it for checkpointing, like
-    /// [`crate::serve::start_server`] does).
+    /// Registers (or replaces) a model around a caller-held engine `Arc`,
+    /// which keeps naming the served state across reloads (the caller can
+    /// checkpoint from it, like [`crate::serve::start_server`]'s callers).
     pub fn register_shared(
         &self,
         name: &str,
         engine: Arc<ServeEngine<M, S>>,
     ) -> Arc<ModelEntry<M, S>> {
-        let entry = Arc::new(ModelEntry::new(name, engine, &self.tuning));
+        let batcher_engine = Arc::clone(&engine);
+        let batcher = MicroBatcher::new(self.tuning.batcher, move |items: Vec<Vec<f32>>| {
+            batcher_engine.predict_batch(&items)
+        });
+        let entry = Arc::new(ModelEntry {
+            name: name.to_string(),
+            engine,
+            batcher,
+            reloads: AtomicU64::new(0),
+            reload_rejects: AtomicU64::new(0),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
+            replay: Mutex::new(VecDeque::new()),
+            replay_cap: self.tuning.replay_cap,
+        });
         let mut models = self.models.write().unwrap_or_else(|e| e.into_inner());
         models.insert(name.to_string(), Arc::clone(&entry));
         entry
@@ -539,8 +505,8 @@ where
     }
 
     /// Hot reload (module docs): decode → build shadow → validate on the
-    /// replay buffer → atomic swap, or roll back. Never touches the live
-    /// engine on any failure path.
+    /// replay buffer → replace the live engine's chain in place, or roll
+    /// back. Never touches the live engine on any failure path.
     pub fn reload(&self, name: &str, checkpoint_bytes: &[u8]) -> Result<ReloadReport, ReloadError> {
         let entry = self.entry(name).ok_or(ReloadError::UnknownModel)?;
         let factory = self.factory.as_ref().ok_or(ReloadError::NoFactory)?;
@@ -554,7 +520,7 @@ where
             trace::event("reload", &format!("model {name}: factory failed ({e})"));
             ReloadError::BuildFailed(e)
         })?;
-        let live = entry.engine();
+        let live = &entry.engine;
         let replay = entry.replay_snapshot();
         let heal = live.heal_config();
         let mut report = ReloadReport {
@@ -598,7 +564,7 @@ where
                 return Ok(report);
             }
         }
-        entry.swap(Arc::new(shadow));
+        live.replace(shadow);
         self.cache.invalidate_model(name);
         entry.reloads.fetch_add(1, Ordering::Relaxed);
         report.promoted = true;
@@ -760,7 +726,7 @@ where
             } else if registry
                 .models_read()
                 .values()
-                .any(|e| e.engine().heal_state() == HealState::Recalibrating)
+                .any(|e| e.engine.heal_state() == HealState::Recalibrating)
             {
                 Response::text(503, "recalibrating\n")
             } else {
@@ -864,10 +830,10 @@ where
     }
 }
 
-/// Both halves of the epoch pair are even: no observation window, swap,
-/// or breaker transition is in progress.
-fn quiescent(reload_gen: u64, epoch: u64) -> bool {
-    reload_gen & 1 == 0 && epoch & 1 == 0
+/// The serving epoch is even: no serving-state window (observation,
+/// breaker restore, reload) is open.
+fn quiescent(epoch: u64) -> bool {
+    epoch & 1 == 0
 }
 
 fn predict_inner<M, S>(
@@ -886,16 +852,14 @@ where
     };
     // Cache protocol (module docs): truth-free requests may be answered
     // from the cache, keyed by the raw body signature at the current
-    // (reload_gen, epoch) — both read *before* the lookup, and an entry is
-    // only ever inserted when the same even pair brackets the computation.
+    // epoch — read *before* the lookup, and an entry is only ever inserted
+    // when the same even epoch brackets the computation.
     let cacheable = truths.is_none() && registry.cache.enabled();
     let signature = fnv1a64(req.body);
-    let gen_before = entry.reload_gen();
-    let epoch_before = entry.engine().serving_epoch();
-    if cacheable && quiescent(gen_before, epoch_before) {
-        if let Some(body) =
-            registry.cache.get(&entry.name, signature, gen_before, epoch_before)
-        {
+    let engine = &entry.engine;
+    let epoch_before = engine.serving_epoch();
+    if cacheable && quiescent(epoch_before) {
+        if let Some(body) = registry.cache.get(&entry.name, signature, epoch_before) {
             entry.cache_hits.fetch_add(1, Ordering::Relaxed);
             ce_telemetry::counter("tenant.cache_hit").inc();
             return Response::json(200, body.as_ref());
@@ -922,19 +886,15 @@ where
     // above were served from pre-feedback state, like the offline loops.
     if let Some(truths) = &truths {
         let truth_id = req.header(TRUTH_HEADER).and_then(parse_truth_id);
-        if entry.engine().observe_all(&features, truths, truth_id) {
+        if engine.observe_all(&features, truths, truth_id) {
             entry.remember(&features, truths);
         }
     }
-    let engine = entry.engine();
     let body = render_predict_body(engine.mode(), &results);
     if cacheable && results.iter().all(|r| r.is_ok()) {
-        let gen_after = entry.reload_gen();
         let epoch_after = engine.serving_epoch();
-        if (gen_before, epoch_before) == (gen_after, epoch_after)
-            && quiescent(gen_after, epoch_after)
-        {
-            registry.cache.insert(&entry.name, signature, gen_after, epoch_after, &body);
+        if epoch_before == epoch_after && quiescent(epoch_after) {
+            registry.cache.insert(&entry.name, signature, epoch_after, &body);
         }
     }
     Response::json(200, body)
@@ -961,7 +921,7 @@ where
         return json_error(422, "`truths` is required on /v1/observe");
     };
     let truth_id = req.header(TRUTH_HEADER).and_then(parse_truth_id);
-    let fresh = entry.engine().observe_all(&features, &truths, truth_id);
+    let fresh = entry.engine.observe_all(&features, &truths, truth_id);
     if fresh {
         entry.remember(&features, &truths);
     }
@@ -1003,12 +963,11 @@ where
 {
     // Legacy single-engine gauges track the default model (bare-endpoint
     // compatibility); per-model truth lives in the labeled series below.
-    if let Some(entry) = registry.entry(DEFAULT_MODEL) {
-        entry.engine().publish_metrics();
-    } else if let Some(name) = registry.names().first() {
-        if let Some(entry) = registry.entry(name) {
-            entry.engine().publish_metrics();
-        }
+    let legacy = registry
+        .entry(DEFAULT_MODEL)
+        .or_else(|| registry.models_read().values().next().cloned());
+    if let Some(entry) = legacy {
+        entry.engine.publish_metrics();
     }
     if ce_telemetry::enabled() {
         let stats = registry.batcher_stats_sum();
@@ -1057,9 +1016,8 @@ where
     let collect = |f: &dyn Fn(&ModelEntry<M, S>) -> f64| -> Vec<(String, f64)> {
         entries.iter().zip(&labels).map(|(e, l)| (l.clone(), f(e))).collect()
     };
-    series("model_observations", &collect(&|e| e.engine().observations() as f64));
-    series("model_epoch", &collect(&|e| e.engine().serving_epoch() as f64));
-    series("model_reload_gen", &collect(&|e| e.reload_gen() as f64));
+    series("model_observations", &collect(&|e| e.engine.observations() as f64));
+    series("model_epoch", &collect(&|e| e.engine.serving_epoch() as f64));
     series("model_reloads", &collect(&|e| e.reloads() as f64));
     series("model_reload_rejects", &collect(&|e| e.reload_rejects() as f64));
     series("model_cache_hits", &collect(&|e| e.cache_hits.load(Ordering::Relaxed) as f64));
@@ -1069,7 +1027,7 @@ where
     series("model_batch_shed", &collect(&|e| e.batcher.stats().shed as f64));
     series(
         "model_heal_state",
-        &collect(&|e| match e.engine().heal_state() {
+        &collect(&|e| match e.engine.heal_state() {
             HealState::Healthy => 0.0,
             HealState::Recalibrating => 1.0,
             HealState::RolledBack => 2.0,
@@ -1164,6 +1122,20 @@ mod tests {
 
     fn tuning() -> RegistryTuning {
         RegistryTuning { cache_entries: 64, min_replay: 4, ..RegistryTuning::default() }
+    }
+
+    /// Checkpoint bytes of an engine calibrated on truths `truth(x, y)`
+    /// in place of the default calibration's `(x, y)`.
+    fn checkpoint_on(truth: impl Fn(f64, f64) -> f64) -> Vec<u8> {
+        let (cx, cy) = calib(200);
+        let ys: Vec<f64> = cx.iter().zip(cy).map(|(x, y)| truth(f64::from(x[0]), y)).collect();
+        encode_checkpoint(&ServeEngine::new(healing(&cx, &ys), vec![], 1).checkpoint())
+    }
+
+    /// Residuals 1.5× the default ones: wider intervals that still pass
+    /// reload validation.
+    fn wide(x: f64, y: f64) -> f64 {
+        x + 1.5 * (y - x)
     }
 
     /// An in-process request against `route_registry` (no sockets): the
@@ -1331,41 +1303,74 @@ mod tests {
         let probe_body = br#"{"features":[[12.0]]}"#;
         let before_reload = post(&registry, "/v1/predict", &[], probe_body);
         assert_eq!(before_reload.status, 200);
-        let gen_before = entry.reload_gen();
+        let engine = entry.engine();
+        let epoch_before = engine.serving_epoch();
         // A healthy checkpoint (the live engine's own state) promotes.
-        let good = encode_checkpoint(&entry.engine().checkpoint());
+        let good = encode_checkpoint(&engine.checkpoint());
         let resp = post(&registry, "/v1/admin/models/default", &[], &good);
         assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
         let text = String::from_utf8_lossy(&resp.body).into_owned();
         assert!(text.contains("\"promoted\":true"));
         assert!(text.contains("\"validated\":true"));
         assert_eq!(entry.reloads(), 1);
-        let gen_after = entry.reload_gen();
-        assert_eq!(gen_after, gen_before + 2, "a swap must advance the reload seqlock by 2");
-        assert_eq!(gen_after % 2, 0, "the seqlock must settle even");
+        let epoch_after = engine.serving_epoch();
+        assert_eq!(epoch_after, epoch_before + 2, "a reload must advance the epoch by 2");
+        assert_eq!(epoch_after % 2, 0, "the epoch must settle even");
         assert!(
             registry.cache().stats().invalidations > 0,
             "promotion must invalidate the model's cached intervals"
         );
+        // Stale hit: cache the probe, promote a *different* calibration, and
+        // the next predict must be rendered from the new state.
+        post(&registry, "/v1/predict", &[], probe_body);
+        let hits = registry.cache().stats().hits;
+        let cached = post(&registry, "/v1/predict", &[], probe_body);
+        assert_eq!(registry.cache().stats().hits, hits + 1, "the probe must be cached");
+        let resp = post(&registry, "/v1/admin/models/default", &[], &checkpoint_on(wide));
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        let after = post(&registry, "/v1/predict", &[], probe_body);
+        let fresh = render_predict_body(engine.mode(), &engine.predict_batch(&[vec![12.0]]));
+        assert_eq!(String::from_utf8_lossy(&after.body), fresh, "served bytes must be fresh");
+        assert_ne!(after.body, cached.body, "a promoted calibration must not hit stale bytes");
         // A checkpoint calibrated on zero residuals yields near-degenerate
         // intervals: shadow coverage collapses, validation rejects, and the
-        // old engine keeps serving.
-        let (cx, _) = calib(200);
-        let exact: Vec<f64> = cx.iter().map(|x| f64::from(x[0])).collect();
-        let bad_engine = ServeEngine::new(healing(&cx, &exact), vec![], 1);
-        let bad = encode_checkpoint(&bad_engine.checkpoint());
-        let live_before = entry.engine();
+        // live engine keeps serving untouched.
+        let bad = checkpoint_on(|x, _| x);
+        let state = || (engine.serving_epoch(), encode_checkpoint(&engine.checkpoint()));
+        let live_before = state();
         let resp = post(&registry, "/v1/admin/models/default", &[], &bad);
         assert_eq!(resp.status, 409, "{}", String::from_utf8_lossy(&resp.body));
         assert!(String::from_utf8_lossy(&resp.body).contains("\"promoted\":false"));
         assert_eq!(entry.reload_rejects(), 1);
-        assert!(
-            Arc::ptr_eq(&live_before, &entry.engine()),
-            "a rejected reload must leave the live engine in place"
-        );
-        // Garbage bytes are a 422, not a crash or a swap.
+        assert!(state() == live_before, "a rejected reload must leave epoch and state in place");
+        // Garbage bytes are a 422, not a crash or a promotion.
         assert_eq!(post(&registry, "/v1/admin/models/default", &[], b"junk").status, 422);
-        assert_eq!(entry.reloads(), 1);
+        assert_eq!(entry.reloads(), 2);
+        registry.shutdown_batchers();
+    }
+
+    /// The entry's engine is the model's identity: a promoted reload lands
+    /// in the very engine a caller registered, so checkpoints and
+    /// observations through the caller's `Arc` follow the promoted state.
+    #[test]
+    fn reload_replaces_the_caller_held_engine_in_place() {
+        // min_replay above any replay length: validation is skipped.
+        let registry: ModelRegistry<Model, AbsoluteResidual> =
+            ModelRegistry::new(RegistryTuning { min_replay: usize::MAX, ..tuning() })
+                .with_factory(factory());
+        let caller = Arc::new(engine());
+        let entry = registry.register_shared(DEFAULT_MODEL, Arc::clone(&caller));
+        let live_bytes = encode_checkpoint(&caller.checkpoint());
+        let report = registry.reload(DEFAULT_MODEL, &checkpoint_on(wide)).expect("reload");
+        assert!(report.promoted && !report.validated);
+        let caller_bytes = encode_checkpoint(&caller.checkpoint());
+        let entry_bytes = encode_checkpoint(&entry.engine().checkpoint());
+        assert!(caller_bytes == entry_bytes, "the caller's engine must carry the promoted state");
+        assert!(caller_bytes != live_bytes, "the candidate must differ from the live calibration");
+        let observed = caller.observations();
+        let truth = br#"{"features":[[7.0]],"truths":[7.5]}"#;
+        assert_eq!(post(&registry, "/v1/observe", &[], truth).status, 200);
+        assert_eq!(caller.observations(), observed + 1, "observes must reach the caller's engine");
         registry.shutdown_batchers();
     }
 
@@ -1398,12 +1403,12 @@ mod tests {
             })
             .collect();
         // Every worker is mid-stream before the churn starts, so each one
-        // provably straddles at least one swap.
+        // provably straddles at least one reload.
         while started.load(Ordering::Relaxed) < 3 {
             std::thread::yield_now();
         }
         // Hot-reload the same checkpoint repeatedly under fire (replay is
-        // below min_replay here, so swaps are immediate — maximum churn).
+        // below min_replay here, so reloads are immediate — maximum churn).
         for _ in 0..20 {
             let report = registry.reload(DEFAULT_MODEL, &checkpoint).expect("reload");
             assert!(report.promoted);
@@ -1413,7 +1418,7 @@ mod tests {
             assert!(worker.join().expect("worker must not panic") > 0);
         }
         assert_eq!(entry.reloads(), 20);
-        assert_eq!(entry.reload_gen() % 2, 0);
+        assert_eq!(entry.engine().serving_epoch() % 2, 0);
         // Post-churn: a served (possibly cached) response must match a
         // fresh render from the live engine — no stale bytes survive.
         let body = br#"{"features":[[5.0]]}"#;
@@ -1474,27 +1479,27 @@ mod tests {
     #[test]
     fn interval_cache_lru_evicts_oldest_and_model_invalidation_is_scoped() {
         let cache = IntervalCache::new(2);
-        cache.insert("m", 1, 0, 0, "one");
-        cache.insert("m", 2, 0, 0, "two");
-        assert_eq!(cache.get("m", 1, 0, 0).as_deref(), Some("one"));
+        cache.insert("m", 1, 0, "one");
+        cache.insert("m", 2, 0, "two");
+        assert_eq!(cache.get("m", 1, 0).as_deref(), Some("one"));
         // Key 2 is now least-recently-used; a third insert evicts it.
-        cache.insert("m", 3, 0, 0, "three");
-        assert!(cache.get("m", 2, 0, 0).is_none(), "LRU victim");
-        assert_eq!(cache.get("m", 1, 0, 0).as_deref(), Some("one"));
+        cache.insert("m", 3, 0, "three");
+        assert!(cache.get("m", 2, 0).is_none(), "LRU victim");
+        assert_eq!(cache.get("m", 1, 0).as_deref(), Some("one"));
         assert_eq!(cache.stats().evictions, 1);
         // A different epoch is a different key: no accidental aliasing.
-        assert!(cache.get("m", 1, 0, 2).is_none());
+        assert!(cache.get("m", 1, 2).is_none());
         // Invalidation is scoped to the named model.
-        cache.insert("other", 9, 0, 0, "kept");
+        cache.insert("other", 9, 0, "kept");
         cache.invalidate_model("m");
-        assert!(cache.get("m", 1, 0, 0).is_none());
-        assert!(cache.get("m", 3, 0, 0).is_none());
-        assert_eq!(cache.get("other", 9, 0, 0).as_deref(), Some("kept"));
+        assert!(cache.get("m", 1, 0).is_none());
+        assert!(cache.get("m", 3, 0).is_none());
+        assert_eq!(cache.get("other", 9, 0).as_deref(), Some("kept"));
         assert!(cache.stats().invalidations >= 1);
         // cap == 0 disables: inserts drop, lookups miss.
         let off = IntervalCache::new(0);
-        off.insert("m", 1, 0, 0, "x");
-        assert!(off.get("m", 1, 0, 0).is_none());
+        off.insert("m", 1, 0, "x");
+        assert!(off.get("m", 1, 0).is_none());
         assert!(!off.enabled());
     }
 
